@@ -1,4 +1,4 @@
-"""Eavesdropping strategies as channel-corruption and measurement plug-ins.
+"""Eavesdropping strategies, each described by one physical layout.
 
 Three attacks are modeled, plus the honest baseline:
 
@@ -10,6 +10,13 @@ Three attacks are modeled, plus the honest baseline:
   one qubit per shared pair.
 * ``type3`` - a channel replacer (man in the middle): she shares pairs with
   Alice and, separately, pairs with Bob, and swaps on her own halves.
+
+Each kind is one frozen :class:`Layout` in ``LAYOUTS``: the systems of a
+group, the pair Alice, Bob and Eve each measure, the stage at which Eve
+measures, whether the attack needs all-phi+ declared pairs, and Eve's guess
+rule.  Session simulation, the joint outcome tables of
+:mod:`entswap.stats` and the oracle self-check all read that one record, so
+a new attack is one new entry.
 
 All adversary physics flows through the statevector oracle; no correlation
 table is hard-coded here, so the detection and guess probabilities the
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -39,6 +46,9 @@ PHI = BellIndex.PHI_PLUS
 
 # (system name, (qubit label, qubit label)) - one measurable pair.
 Target = tuple[str, tuple[str, str]]
+
+# Session stages at which Eve may measure, in session order.
+STAGES = ("after_alice", "after_bob")
 
 
 class UnsupportedAttackError(ValueError):
@@ -70,132 +80,182 @@ class GroupChannels:
 
 
 @dataclass
-class NoEve:
+class AdversaryStrategy:
+    """Per-session adversary state.
+
+    ``by_group`` holds Eve's outcomes, one tuple per group in the order of
+    her layout's targets.
+    """
+
+    kind: ClassVar[str]
+    by_group: list[tuple[BellIndex, ...]] = field(default_factory=list)
+    measured: bool = False
+
+
+class NoEve(AdversaryStrategy):
     kind = "none"
 
 
-@dataclass
-class IndependentGuesser:
+class IndependentGuesser(AdversaryStrategy):
     """Owns private phi+ pairs per group; her swap outcomes are her guesses."""
 
     kind = "type1"
-    outcomes: list[BellIndex] = field(default_factory=list)
-    measured: bool = False
+
+    @property
+    def outcomes(self) -> list[BellIndex]:
+        return [eve[0] for eve in self.by_group]
 
 
-@dataclass
-class ChannelEntangler:
+class ChannelEntangler(AdversaryStrategy):
     """Replaces each shared pair with a GHZ triple and keeps the third qubit."""
 
     kind = "type2"
-    outcomes: list[BellIndex] = field(default_factory=list)
-    measured: bool = False
+
+    @property
+    def outcomes(self) -> list[BellIndex]:
+        return [eve[0] for eve in self.by_group]
 
 
-@dataclass
-class ChannelReplacer:
+class ChannelReplacer(AdversaryStrategy):
     """Shares pairs with Alice and with Bob separately and swaps in between."""
 
     kind = "type3"
-    alice_facing: list[BellIndex] = field(default_factory=list)
-    bob_facing: list[BellIndex] = field(default_factory=list)
-    measured: bool = False
+
+    @property
+    def bob_facing(self) -> list[BellIndex]:
+        return [eve[0] for eve in self.by_group]
+
+    @property
+    def alice_facing(self) -> list[BellIndex]:
+        return [eve[1] for eve in self.by_group]
 
 
-AdversaryStrategy = Union[NoEve, IndependentGuesser, ChannelEntangler, ChannelReplacer]
+@dataclass(frozen=True)
+class Layout:
+    """One attack's physical layout.
 
-STRATEGY_KINDS = ("none", "type1", "type2", "type3")
+    ``systems`` maps a group's declared pair states to its named physical
+    systems; it is memoized per declared pair, and callers copy the dict
+    before collapsing states in it.  Eve measures her ``eve`` targets, in
+    order, at ``eve_stage``.  ``guess`` turns her outcomes for one group and
+    one fair coin into her guess of Alice's outcome; ``coin`` says whether
+    the rule reads the coin, so a session only draws one when it does.
+    """
+
+    strategy: type[AdversaryStrategy]
+    systems: Callable[[BellIndex, BellIndex], dict[str, StateVector]]
+    alice: Target
+    bob: Target
+    eve: tuple[Target, ...] = ()
+    eve_stage: str | None = None
+    phi_only: bool = False
+    guess: Callable[[tuple[BellIndex, ...], int], BellIndex] | None = None
+    coin: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "systems", lru_cache(maxsize=None)(self.systems))
+
+    def session_order(self) -> list[tuple[int, Target]]:
+        """Every target as (slot, target), in the order a session measures them.
+
+        Slot 0 is Alice, slot 1 Bob and slots 2.. Eve's targets, which
+        follow the party her stage names.
+        """
+        eve = [(2 + i, target) for i, target in enumerate(self.eve)]
+        before_bob = eve if self.eve_stage == "after_alice" else []
+        after_bob = eve if self.eve_stage == "after_bob" else []
+        return [(0, self.alice), *before_bob, (1, self.bob), *after_bob]
 
 
-def make_strategy(kind: str) -> AdversaryStrategy:
-    """Fresh per-session strategy state for a wire-format kind tag."""
-    classes = {
-        "none": NoEve,
-        "type1": IndependentGuesser,
-        "type2": ChannelEntangler,
-        "type3": ChannelReplacer,
-    }
+def _bell_pairs(a: BellIndex, b: BellIndex, prime: str = "") -> StateVector:
+    """Pair a on qubits 1-2 and pair b on qubits 3-4, labels suffixed by prime."""
+    return tensor(make_bell(a, "1" + prime, "2" + prime), make_bell(b, "3" + prime, "4" + prime))
+
+
+LAYOUTS: dict[str, Layout] = {
+    layout.strategy.kind: layout
+    for layout in (
+        Layout(
+            NoEve,
+            systems=lambda a, b: {"main": _bell_pairs(a, b)},
+            alice=("main", ("1", "3")),
+            bob=("main", ("2", "4")),
+        ),
+        Layout(
+            IndependentGuesser,
+            systems=lambda a, b: {"main": _bell_pairs(a, b), "eve": _bell_pairs(PHI, PHI, "p")},
+            alice=("main", ("1", "3")),
+            bob=("main", ("2", "4")),
+            eve=(("eve", ("1p", "3p")),),
+            eve_stage="after_bob",
+            # her private swap outcome is a uniform guess
+            guess=lambda eve, coin: eve[0],
+        ),
+        Layout(
+            ChannelEntangler,
+            systems=lambda a, b: {"main": tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))},
+            alice=("main", ("1", "3")),
+            bob=("main", ("2", "4")),
+            eve=(("main", ("5", "6")),),
+            eve_stage="after_bob",
+            phi_only=True,
+            # her outcome fixes Alice's parity bit and the XOR of the two
+            # phase bits, but not Alice's phase itself: the coin guesses it
+            guess=lambda eve, coin: BellIndex((coin, eve[0].parity)),
+            coin=True,
+        ),
+        Layout(
+            ChannelReplacer,
+            systems=lambda a, b: {
+                "alice_side": _bell_pairs(PHI, PHI),
+                "bob_side": _bell_pairs(PHI, PHI, "p"),
+            },
+            alice=("alice_side", ("1", "3")),
+            bob=("bob_side", ("2p", "4p")),
+            # the pairs Bob will touch first, then Alice's partners
+            eve=(("bob_side", ("1p", "3p")), ("alice_side", ("2", "4"))),
+            eve_stage="after_alice",
+            phi_only=True,
+            # her Alice-side halves are perfectly correlated with Alice's pair
+            guess=lambda eve, coin: eve[1],
+        ),
+    )
+}
+
+STRATEGY_KINDS = tuple(LAYOUTS)
+
+
+def layout_of(kind: str) -> Layout:
+    """The layout for a wire-format kind tag."""
     try:
-        return classes[kind]()
+        return LAYOUTS[kind]
     except KeyError:
         raise ValueError(f"unknown adversary kind {kind!r}; expected one of {STRATEGY_KINDS}") from None
 
 
-@lru_cache(maxsize=None)
-def _pair_tensor(a: BellIndex, b: BellIndex) -> StateVector:
-    return tensor(make_bell(a, "1", "2"), make_bell(b, "3", "4"))
-
-
-@lru_cache(maxsize=None)
-def _ghz_pair_tensor() -> StateVector:
-    return tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))
-
-
-@lru_cache(maxsize=None)
-def _phi_pair_tensor(primed: bool) -> StateVector:
-    s = "p" if primed else ""
-    return tensor(make_bell(PHI, "1" + s, "2" + s), make_bell(PHI, "3" + s, "4" + s))
-
-
-def _require_all_phi(strategy: AdversaryStrategy, declared: Sequence[tuple[BellIndex, BellIndex]]) -> None:
-    for a, b in declared:
-        if a is not PHI or b is not PHI:
-            raise UnsupportedAttackError(
-                f"{strategy.kind} is only modeled for phi+ channels, declared ({a}, {b})"
-            )
+def make_strategy(kind: str) -> AdversaryStrategy:
+    """Fresh per-session strategy state for a wire-format kind tag."""
+    return layout_of(kind).strategy()
 
 
 def corrupt_channels(
     strategy: AdversaryStrategy,
     declared: Sequence[tuple[BellIndex, BellIndex]],
-    rng: np.random.Generator | None = None,
 ) -> list[GroupChannels]:
     """Materialize each group's physical systems under the given strategy.
 
     ``declared`` holds the per-group pair states the honest parties believe
     in.  With no adversary (and for the independent guesser, who leaves the
     channel alone) the physical state is exactly the declared tensor.
-    Layouts are deterministic; ``rng`` is accepted for interface symmetry.
     """
+    layout = LAYOUTS[strategy.kind]
     channels: list[GroupChannels] = []
     for a, b in declared:
-        if isinstance(strategy, (NoEve, IndependentGuesser)):
-            systems = {"main": _pair_tensor(a, b)}
-            if isinstance(strategy, IndependentGuesser):
-                systems["eve"] = _phi_pair_tensor(True)
-            channels.append(
-                GroupChannels(
-                    systems=systems,
-                    alice=("main", ("1", "3")),
-                    bob=("main", ("2", "4")),
-                    eve=(("eve", ("1p", "3p")),) if isinstance(strategy, IndependentGuesser) else (),
-                )
+        if layout.phi_only and (a is not PHI or b is not PHI):
+            raise UnsupportedAttackError(
+                f"{strategy.kind} is only modeled for phi+ channels, declared ({a}, {b})"
             )
-        elif isinstance(strategy, ChannelEntangler):
-            _require_all_phi(strategy, [(a, b)])
-            channels.append(
-                GroupChannels(
-                    systems={"main": _ghz_pair_tensor()},
-                    alice=("main", ("1", "3")),
-                    bob=("main", ("2", "4")),
-                    eve=(("main", ("5", "6")),),
-                )
-            )
-        elif isinstance(strategy, ChannelReplacer):
-            _require_all_phi(strategy, [(a, b)])
-            channels.append(
-                GroupChannels(
-                    systems={
-                        "alice_side": _phi_pair_tensor(False),
-                        "bob_side": _phi_pair_tensor(True),
-                    },
-                    alice=("alice_side", ("1", "3")),
-                    bob=("bob_side", ("2p", "4p")),
-                    eve=(("bob_side", ("1p", "3p")), ("alice_side", ("2", "4"))),
-                )
-            )
-        else:
-            raise TypeError(f"not an adversary strategy: {strategy!r}")
+        channels.append(GroupChannels(dict(layout.systems(a, b)), layout.alice, layout.bob, layout.eve))
     return channels
 
 
@@ -208,35 +268,22 @@ def eve_measure(
     """Run Eve's measurements for the given stage of the session.
 
     ``stage`` is "after_alice" or "after_bob".  Each strategy acts at its
-    fixed stage and records outcomes in its own state; acting twice, or
-    reaching "after_bob" without the replacer having measured, is an
-    ordering error.
+    layout's stage and records outcomes in its own state; acting twice, or
+    reaching a later stage without having measured, is an ordering error.
     """
-    if stage not in ("after_alice", "after_bob"):
+    if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    if isinstance(strategy, NoEve):
+    layout = LAYOUTS[strategy.kind]
+    if layout.eve_stage is None:
         return
-    if isinstance(strategy, (IndependentGuesser, ChannelEntangler)):
-        if stage != "after_bob":
-            return
+    if stage == layout.eve_stage:
         if strategy.measured:
             raise AdversaryOrderError(f"{strategy.kind} already measured")
         for ch in channels:
-            strategy.outcomes.append(ch.measure(ch.eve[0], rng))
+            strategy.by_group.append(tuple(ch.measure(target, rng) for target in ch.eve))
         strategy.measured = True
-        return
-    if isinstance(strategy, ChannelReplacer):
-        if stage == "after_alice":
-            if strategy.measured:
-                raise AdversaryOrderError(f"{strategy.kind} already measured")
-            for ch in channels:
-                strategy.bob_facing.append(ch.measure(ch.eve[0], rng))
-                strategy.alice_facing.append(ch.measure(ch.eve[1], rng))
-            strategy.measured = True
-        elif not strategy.measured:
-            raise AdversaryOrderError("type3 must measure its Bob-facing pairs before Bob does")
-        return
-    raise TypeError(f"not an adversary strategy: {strategy!r}")
+    elif STAGES.index(stage) > STAGES.index(layout.eve_stage) and not strategy.measured:
+        raise AdversaryOrderError(f"{strategy.kind} must measure {layout.eve_stage}, before {stage}")
 
 
 @dataclass(frozen=True)
@@ -261,23 +308,6 @@ class EveReport:
         }
 
 
-def _guess_outcome(
-    strategy: AdversaryStrategy, group_index: int, rng: np.random.Generator
-) -> BellIndex:
-    """Eve's best guess for Alice's swap outcome on one group."""
-    if isinstance(strategy, IndependentGuesser):
-        return strategy.outcomes[group_index]
-    if isinstance(strategy, ChannelEntangler):
-        # Her own outcome fixes Alice's parity bit and the XOR of the two
-        # phase bits, but not Alice's phase itself: flip a coin for it.
-        e = strategy.outcomes[group_index]
-        return BellIndex((int(rng.integers(0, 2)), e.parity))
-    if isinstance(strategy, ChannelReplacer):
-        # Her Alice-side halves are perfectly correlated with Alice's pair.
-        return strategy.alice_facing[group_index]
-    raise TypeError(f"no guess rule for {strategy!r}")
-
-
 def eve_guess_key(
     strategy: AdversaryStrategy,
     groups: Sequence["GroupRecord"],
@@ -289,14 +319,16 @@ def eve_guess_key(
     checked (both are public); Alice's actual fragments are used only to
     score her guesses.
     """
-    if isinstance(strategy, NoEve):
+    layout = LAYOUTS[strategy.kind]
+    if layout.guess is None:
         return None
     if not strategy.measured:
         raise AdversaryOrderError(f"{strategy.kind} must measure before guessing")
     guessed_fragments: list[str] = []
     correct: list[bool] = []
     for g in groups:
-        guess = _guess_outcome(strategy, g.group_index, rng)
+        coin = int(rng.integers(0, 2)) if layout.coin else 0
+        guess = layout.guess(strategy.by_group[g.group_index], coin)
         partner = swap_partner(g.pair_a_state, g.pair_b_state, guess)
         bits = group_key_fragment(guess, partner, g.group_index).bits
         guessed_fragments.append(bits)

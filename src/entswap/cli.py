@@ -30,15 +30,8 @@ from dataclasses import dataclass
 from .adversary import STRATEGY_KINDS, make_strategy
 from .bell import BELL_ORDER, BellIndex, bell_by_name, swap_partner
 from .protocol import AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
-from .statevector import (
-    identify_bell,
-    make_bell,
-    make_ghz3,
-    outcome_distribution,
-    project_bell,
-    tensor,
-)
-from .stats import SWEEP_CSV_HEADER, monte_carlo, sweep_csv_row
+from .statevector import identify_bell, make_bell, outcome_distribution, project_bell, tensor
+from .stats import SWEEP_CSV_HEADER, joint_table, monte_carlo, sweep_csv_row
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -342,7 +335,7 @@ def cmd_sweep(options: CliConfig) -> int:
     os.makedirs(options.out, exist_ok=True)
     rows = []
     for k in range(1, k_max + 1):
-        # fraction chosen so ceil(f * n) lands exactly on k
+        # fraction chosen so the check count lands exactly on k
         session = SessionConfig(
             n_groups=n,
             pair_states=options.session.pair_states,
@@ -363,6 +356,33 @@ def cmd_sweep(options: CliConfig) -> int:
         handle.write(_csv_text(SWEEP_CSV_HEADER, rows))
     print(f"sweep: wrote {csv_path} and {k_max} point files")
     return EXIT_OK
+
+
+def _entangler_failures(table):
+    """Deviations of the entangler's joint table from its paired structure.
+
+    Alice is uniform; given her outcome Bob lands 1/2 + 1/2 on her parity
+    family; given both, Eve's outcome is the pair (phase XOR, Alice's parity).
+    """
+
+    def mass(*prefix):
+        return sum((p for key, p in table.items() if key[: len(prefix)] == prefix), 0.0)
+
+    for a in BELL_ORDER:
+        p_a = mass(a)
+        if abs(p_a - 0.25) > _DIST_ATOL:
+            yield f"alice {a} probability {p_a:.6f} != 1/4"
+            continue
+        for b in BELL_ORDER:
+            expected = 0.5 if b.parity == a.parity else 0.0
+            p_ab = mass(a, b)
+            if abs(p_ab / p_a - expected) > _DIST_ATOL:
+                yield f"bob {b} given alice {a}: {p_ab / p_a:.6f} != {expected}"
+            elif expected:
+                paired = BellIndex((a.phase ^ b.phase, a.parity))
+                p_e = mass(a, b, paired) / p_ab
+                if abs(p_e - 1.0) > _DIST_ATOL:
+                    yield f"eve given alice {a}, bob {b}: p({paired}) = {p_e:.6f}"
 
 
 def oracle_check_rows() -> list[tuple[str, bool, str]]:
@@ -402,30 +422,7 @@ def oracle_check_rows() -> list[tuple[str, bool, str]]:
         )
     )
 
-    ghz_fail = ""
-    sv = tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))
-    p_alice = outcome_distribution(sv, "1", "3")
-    for a in BELL_ORDER:
-        if abs(p_alice[a.ordinal] - 0.25) > _DIST_ATOL:
-            ghz_fail = f"alice {a} probability {p_alice[a.ordinal]:.6f} != 1/4"
-            break
-        _, after_a = project_bell(sv, "1", "3", a)
-        p_bob = outcome_distribution(after_a, "2", "4")
-        for b in BELL_ORDER:
-            expected = 0.5 if b.parity == a.parity else 0.0
-            if abs(p_bob[b.ordinal] - expected) > _DIST_ATOL:
-                ghz_fail = f"bob {b} given alice {a}: {p_bob[b.ordinal]:.6f} != {expected}"
-                break
-            if expected == 0.0:
-                continue
-            _, after_b = project_bell(after_a, "2", "4", b)
-            p_eve = outcome_distribution(after_b, "5", "6")
-            paired = BellIndex((a.phase ^ b.phase, a.parity))
-            if abs(p_eve[paired.ordinal] - 1.0) > _DIST_ATOL:
-                ghz_fail = f"eve given alice {a}, bob {b}: p({paired}) = {p_eve[paired.ordinal]:.6f}"
-                break
-        if ghz_fail:
-            break
+    ghz_fail = next(_entangler_failures(joint_table("type2")), "")
     rows.append(
         (
             "entangler conditional structure (bob 1/2+1/2, eve paired)",

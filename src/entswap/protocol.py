@@ -98,8 +98,16 @@ class SessionConfig:
 
     @property
     def k_checked(self) -> int:
-        """Number of groups sacrificed to checking: ceil(fraction * n), >= 1."""
-        return math.ceil(self.check_fraction * self.n_groups)
+        """Number of groups sacrificed to checking.
+
+        The smallest k >= 1 with k / n >= fraction.  Float division is
+        correctly rounded, so this is exact where ceil(fraction * n) can
+        overcount (0.28 * 25 is 7.000000000000001).  That ceiling is within
+        one of the answer, so only its neighbours are tried.
+        """
+        n, fraction = self.n_groups, self.check_fraction
+        k = math.ceil(fraction * n)
+        return next(j for j in (k - 1, k, k + 1) if j >= 1 and j / n >= fraction)
 
 
 def declared_pair_states(config: SessionConfig) -> list[BellIndex]:
@@ -263,15 +271,13 @@ def setup_session(
     declared = declared_pair_states(config)
     pairs = [(declared[2 * i], declared[2 * i + 1]) for i in range(config.n_groups)]
     groups = [GroupRecord(i, a, b) for i, (a, b) in enumerate(pairs)]
-    eve_rng = np.random.default_rng(eve_ss)
-    channels = corrupt_channels(adversary, pairs, eve_rng)
     return SessionState(
         config=config,
         adversary=adversary,
         groups=groups,
-        channels=channels,
+        channels=corrupt_channels(adversary, pairs),
         honest_rng=np.random.default_rng(honest_ss),
-        eve_rng=eve_rng,
+        eve_rng=np.random.default_rng(eve_ss),
     )
 
 

@@ -5,10 +5,12 @@ Three layers:
 * small numerics: Wilson 95% score intervals, the chi-square survival
   function for 3 degrees of freedom in closed form, and a uniformity test
   over the four Bell outcomes;
-* analytic attack rates: per-check mismatch and per-group key-guess
-  probabilities are ENUMERATED from the statevector simulator by
-  conditioning on each measurement outcome, not hard-coded, so the
-  analytic column in reports is itself oracle-derived;
+* analytic attack rates: one branch walk over each kind's
+  ``adversary.Layout`` conditions on every measurement outcome, in session
+  order, to build the exact joint table of one group's outcomes; per-check
+  mismatch and per-group key-guess probabilities are marginals of that
+  table, not hard-coded, so the analytic column in reports is itself
+  oracle-derived;
 * Monte Carlo drivers that run full sessions trial by trial and summarize
   detection, key-agreement, and eavesdropper success rates.
 
@@ -24,18 +26,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .adversary import STRATEGY_KINDS, make_strategy
+from .adversary import STRATEGY_KINDS, layout_of, make_strategy
 from .bell import BELL_ORDER, BellIndex, swap_partner
 from .protocol import SessionConfig, run_session
-from .statevector import make_bell, make_ghz3, outcome_distribution, project_bell, tensor
+from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _PHI = BellIndex.PHI_PLUS
-_NEGLIGIBLE = 1e-12
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -89,114 +92,68 @@ def uniformity_test(counts) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def per_check_mismatch(kind: str) -> float:
-    """Probability one CHECKED group's fragments disagree, by enumeration.
+def joint_table(kind: str) -> Mapping[tuple[BellIndex, ...], float]:
+    """Exact joint distribution of one all-phi+ group's outcomes.
 
-    Walks the exact physical sequence (Alice projects, then Bob's outcome
-    distribution on the post-measurement state) over every branch with its
-    Born weight.  Honest channels and the guessing adversary leave the
-    genuine pairs untouched, so their mismatch probability is zero by the
-    swap identity.
+    Keys are (alice, bob, *eve) outcome tuples, values their probability.
+    The walk follows the session's measurement order on the kind's layout
+    and conditions on every outcome with its Born weight; branches below
+    MIN_FORCED_PROB are pruned, so only reachable cells appear.
     """
-    if kind in ("none", "type1"):
-        return 0.0
-    if kind == "type2":
-        sv = tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))
-        mismatch = 0.0
-        p_alice = outcome_distribution(sv, "1", "3")
-        for a in BELL_ORDER:
-            if p_alice[a.ordinal] < _NEGLIGIBLE:
+    layout = layout_of(kind)
+    order = layout.session_order()
+    table: dict[tuple[BellIndex, ...], float] = {}
+
+    def walk(systems: dict, step: int, outcomes: tuple, prob: float) -> None:
+        if step == len(order):
+            table[outcomes] = prob
+            return
+        slot, (name, (qi, qj)) = order[step]
+        sv = systems[name]
+        probs = outcome_distribution(sv, qi, qj)
+        for outcome in BELL_ORDER:
+            if probs[outcome.ordinal] < MIN_FORCED_PROB:
                 continue
-            _, after = project_bell(sv, "1", "3", a)
-            p_bob = outcome_distribution(after, "2", "4")
-            agree = swap_partner(_PHI, _PHI, a)  # Bob outcome Alice expects
-            mismatch += p_alice[a.ordinal] * (1.0 - p_bob[agree.ordinal])
-        return mismatch
-    if kind == "type3":
-        alice_side = tensor(make_bell(_PHI, "1", "2"), make_bell(_PHI, "3", "4"))
-        bob_side = tensor(make_bell(_PHI, "1p", "2p"), make_bell(_PHI, "3p", "4p"))
-        p_alice = outcome_distribution(alice_side, "1", "3")
-        p_bob = outcome_distribution(bob_side, "2p", "4p")
-        mismatch = 0.0
-        for a in BELL_ORDER:
-            for b in BELL_ORDER:
-                # independent halves; fragments agree only when the swap
-                # inference maps b back to a, i.e. b equals Alice's
-                # expectation
-                agree = swap_partner(_PHI, _PHI, a)
-                if b is not agree:
-                    mismatch += p_alice[a.ordinal] * p_bob[b.ordinal]
-        return mismatch
-    raise ValueError(f"unknown adversary kind: {kind!r}")
+            p, collapsed = project_bell(sv, qi, qj, outcome)
+            placed = outcomes[:slot] + (outcome,) + outcomes[slot + 1 :]
+            walk({**systems, name: collapsed}, step + 1, placed, prob * p)
+
+    walk(layout.systems(_PHI, _PHI), 0, (None,) * len(order), 1.0)
+    return MappingProxyType(table)  # read-only: every caller shares the cached table
 
 
-@lru_cache(maxsize=None)
+def per_check_mismatch(kind: str) -> float:
+    """Probability one CHECKED group's fragments disagree.
+
+    The table mass where Bob's outcome is not the one Alice infers from
+    hers; with no reachable mismatching cell this is exactly 0.0.
+    """
+    return sum(
+        (p for (a, b, *_), p in joint_table(kind).items() if b is not swap_partner(_PHI, _PHI, a)),
+        0.0,
+    )
+
+
 def per_group_eve_success(kind: str) -> float | None:
     """Probability the adversary reconstructs one group's fragment.
 
-    None for the honest channel (there is no adversary to succeed).
-    Enumerated from the simulator with the same conditioning order the
-    protocol uses.
+    The table mass where her guess, averaged over its fair coin, equals
+    Alice's outcome.  None for the honest channel (there is no adversary
+    to succeed).
     """
-    if kind == "none":
+    guess = layout_of(kind).guess
+    if guess is None:
         return None
-    if kind == "type1":
-        # her private pairs are independent of the genuine channel, so the
-        # two outcome distributions just overlap
-        genuine = tensor(make_bell(_PHI, "1", "2"), make_bell(_PHI, "3", "4"))
-        private = tensor(make_bell(_PHI, "1p", "2p"), make_bell(_PHI, "3p", "4p"))
-        p_honest = outcome_distribution(genuine, "1", "3")
-        p_guess = outcome_distribution(private, "1p", "3p")
-        return float(sum(p_honest[a.ordinal] * p_guess[a.ordinal] for a in BELL_ORDER))
-    if kind == "type2":
-        sv = tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))
-        success = 0.0
-        p_alice = outcome_distribution(sv, "1", "3")
-        for a in BELL_ORDER:
-            if p_alice[a.ordinal] < _NEGLIGIBLE:
-                continue
-            _, after_a = project_bell(sv, "1", "3", a)
-            p_bob = outcome_distribution(after_a, "2", "4")
-            for b in BELL_ORDER:
-                if p_bob[b.ordinal] < _NEGLIGIBLE:
-                    continue
-                _, after_b = project_bell(after_a, "2", "4", b)
-                p_eve = outcome_distribution(after_b, "5", "6")
-                for e in BELL_ORDER:
-                    if p_eve[e.ordinal] < _NEGLIGIBLE:
-                        continue
-                    # her guess copies the parity bit and flips a fair
-                    # coin for the phase bit
-                    phase_hit = 0.5
-                    parity_hit = 1.0 if e.parity == a.parity else 0.0
-                    success += (
-                        p_alice[a.ordinal]
-                        * p_bob[b.ordinal]
-                        * p_eve[e.ordinal]
-                        * phase_hit
-                        * parity_hit
-                    )
-        return success
-    if kind == "type3":
-        # she measures the partner qubits of Alice's own pairs, so the swap
-        # identity hands her Alice's outcome verbatim
-        sv = tensor(make_bell(_PHI, "1", "2"), make_bell(_PHI, "3", "4"))
-        success = 0.0
-        p_alice = outcome_distribution(sv, "1", "3")
-        for a in BELL_ORDER:
-            if p_alice[a.ordinal] < _NEGLIGIBLE:
-                continue
-            _, after = project_bell(sv, "1", "3", a)
-            p_eve = outcome_distribution(after, "2", "4")
-            success += p_alice[a.ordinal] * p_eve[a.ordinal]
-        return success
-    raise ValueError(f"unknown adversary kind: {kind!r}")
+    return sum(
+        p / 2
+        for (a, _, *eve), p in joint_table(kind).items()
+        for coin in (0, 1)
+        if guess(tuple(eve), coin) is a
+    )
 
 
 def analytic_detection(kind: str, k_checked: int) -> float:
     """Probability at least one of k checked groups exposes the attack."""
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown adversary kind: {kind!r}")
     if k_checked < 1:
         raise ValueError("at least one group must be checked")
     return 1.0 - (1.0 - per_check_mismatch(kind)) ** k_checked
