@@ -155,6 +155,18 @@ class Layout:
     def __post_init__(self) -> None:
         object.__setattr__(self, "systems", lru_cache(maxsize=None)(self.systems))
 
+    def declared_systems(self, a: BellIndex, b: BellIndex) -> dict[str, StateVector]:
+        """The memoized systems of a group declared as pairs (a, b).
+
+        Raises UnsupportedAttackError when the attack is only modeled for
+        phi+ channels and either declared pair is not phi+.
+        """
+        if self.phi_only and (a is not PHI or b is not PHI):
+            raise UnsupportedAttackError(
+                f"{self.strategy.kind} is only modeled for phi+ channels, declared ({a}, {b})"
+            )
+        return self.systems(a, b)
+
     def session_order(self) -> list[tuple[int, Target]]:
         """Every target as (slot, target), in the order a session measures them.
 
@@ -249,14 +261,10 @@ def corrupt_channels(
     channel alone) the physical state is exactly the declared tensor.
     """
     layout = LAYOUTS[strategy.kind]
-    channels: list[GroupChannels] = []
-    for a, b in declared:
-        if layout.phi_only and (a is not PHI or b is not PHI):
-            raise UnsupportedAttackError(
-                f"{strategy.kind} is only modeled for phi+ channels, declared ({a}, {b})"
-            )
-        channels.append(GroupChannels(dict(layout.systems(a, b)), layout.alice, layout.bob, layout.eve))
-    return channels
+    return [
+        GroupChannels(dict(layout.declared_systems(a, b)), layout.alice, layout.bob, layout.eve)
+        for a, b in declared
+    ]
 
 
 def eve_measure(

@@ -9,7 +9,8 @@ Subcommands:
 * ``oracle-check`` exhaustive simulator self-checks, pass/fail table
 
 Exit codes are a stable contract: 0 success/accept, 1 I/O failure,
-2 usage error, 3 session aborted, 4 oracle check failed.
+2 usage error, 3 session aborted, 4 oracle check failed, 5 internal error
+(a broken invariant, not a user mistake).
 
 Options resolve as: built-in defaults, then the ``--config`` file, then
 explicit flags.  The config file is flat ``key = value`` text whose keys
@@ -26,8 +27,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .adversary import STRATEGY_KINDS, make_strategy
+from .adversary import STRATEGY_KINDS, UnsupportedAttackError, make_strategy
 from .bell import BELL_ORDER, BellIndex, bell_by_name, swap_partner
 from .protocol import AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
 from .statevector import identify_bell, make_bell, outcome_distribution, project_bell, tensor
@@ -38,6 +40,7 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_ABORT = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 _DEFAULTS = {
     "groups": 16,
@@ -68,7 +71,10 @@ class CliConfig:
     seed: int
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: a rebuild per ``main`` call costs
+    more than a small Monte Carlo batch and leaves cyclic garbage."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--groups", type=int, default=None, help="groups per session (default 16)")
     shared.add_argument(
@@ -177,7 +183,11 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
     merged = dict(_DEFAULTS)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = parse_config_file(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise CliUsageError(f"config file {args.config} is not UTF-8 text") from exc
+        file_values = parse_config_file(text)
         for key, value in file_values.items():
             merged[key] = _coerce(key, value, f"config file {args.config}")
     flag_values = {
@@ -471,15 +481,16 @@ def main(argv=None) -> int:
     try:
         options = resolve_options(args)
         return _DISPATCH[args.command](options)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliUsageError, UnsupportedAttackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # options are validated before dispatch, so this is a program fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

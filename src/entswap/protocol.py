@@ -90,6 +90,8 @@ class SessionConfig:
             raise ValueError("check_fraction must be in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if isinstance(self.pair_states, RandomKnown) and self.pair_states.seed < 0:
+            raise ValueError("random pair-state seed must be non-negative")
         if isinstance(self.pair_states, FixedList) and len(self.pair_states.states) != 2 * self.n_groups:
             raise ValueError(
                 f"fixed pair-state list needs {2 * self.n_groups} entries, "

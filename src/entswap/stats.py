@@ -7,36 +7,49 @@ Three layers:
   over the four Bell outcomes;
 * analytic attack rates: one branch walk over each kind's
   ``adversary.Layout`` conditions on every measurement outcome, in session
-  order, to build the exact joint table of one group's outcomes; per-check
-  mismatch and per-group key-guess probabilities are marginals of that
-  table, not hard-coded, so the analytic column in reports is itself
-  oracle-derived;
-* Monte Carlo drivers that run full sessions trial by trial and summarize
-  detection, key-agreement, and eavesdropper success rates.
+  order, to build the exact joint table of one group's outcomes for a
+  declared pair; per-check mismatch and per-group key-guess probabilities
+  are marginals of that table, not hard-coded, so the analytic column in
+  reports is itself oracle-derived;
+* Monte Carlo drivers that summarize detection, key-agreement, and
+  eavesdropper success rates over a batch of trials.
 
-The guessing adversary gets a dedicated vectorized path: once the swap
-outcome distribution is known to be uniform (the oracle checks cover
-that), a trial reduces to independent uniform draws for the honest outcome
-and the guess, so millions of trials are cheap and no statevector is
-touched.
+Monte Carlo has two backends.  ``"table"`` (the default) reduces each
+joint table to classes of cells labelled (fragments mismatch, Eve's guess
+right), her fair coin expanded where her rule reads one.  Groups are
+independent product systems and Bob's check subset is uniform and
+independent of the outcomes, so a trial is fully described by how many of
+its groups fall in each class: the batch draws those counts per declared
+pair, detection from a hypergeometric draw of the checked subset, and
+Alice's outcome tallies per class.  That is the session path's exact joint
+law, for every kind alike, with no statevector touched once the tables are
+built.  Trials run in chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from
+``SeedSequence(seed, spawn_key=(c,))``, so memory stays bounded whatever
+``trials`` and ``n_groups`` are.  ``"statevector"`` runs one full session
+per trial, trial ``t`` reseeded from ``(seed, t)``; it is the reference the
+table backend is checked against in law.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .adversary import STRATEGY_KINDS, layout_of, make_strategy
 from .bell import BELL_ORDER, BellIndex, swap_partner
-from .protocol import SessionConfig, run_session
+from .protocol import SessionConfig, declared_pair_states, run_session
 from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# Trials per table-backend chunk: bounds a batch's working set at a few MB.
+CHUNK_TRIALS = 1 << 16
 
 _PHI = BellIndex.PHI_PLUS
 
@@ -92,13 +105,17 @@ def uniformity_test(counts) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def joint_table(kind: str) -> Mapping[tuple[BellIndex, ...], float]:
-    """Exact joint distribution of one all-phi+ group's outcomes.
+def joint_table(
+    kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI
+) -> Mapping[tuple[BellIndex, ...], float]:
+    """Exact joint distribution of the outcomes of one group declared (a, b).
 
     Keys are (alice, bob, *eve) outcome tuples, values their probability.
     The walk follows the session's measurement order on the kind's layout
     and conditions on every outcome with its Born weight; branches below
-    MIN_FORCED_PROB are pruned, so only reachable cells appear.
+    MIN_FORCED_PROB are pruned, so only reachable cells appear.  Attacks
+    modeled for phi+ channels only raise UnsupportedAttackError for any
+    other declared pair.
     """
     layout = layout_of(kind)
     order = layout.session_order()
@@ -118,8 +135,51 @@ def joint_table(kind: str) -> Mapping[tuple[BellIndex, ...], float]:
             placed = outcomes[:slot] + (outcome,) + outcomes[slot + 1 :]
             walk({**systems, name: collapsed}, step + 1, placed, prob * p)
 
-    walk(layout.systems(_PHI, _PHI), 0, (None,) * len(order), 1.0)
+    walk(layout.declared_systems(a, b), 0, (None,) * len(order), 1.0)
     return MappingProxyType(table)  # read-only: every caller shares the cached table
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """One declared pair's joint table, reduced to what a trial depends on.
+
+    Class ``i`` gathers the cells whose fragments mismatch iff
+    ``mismatch[i]`` and whose guess (per fair coin, where the rule reads
+    one) is Alice's outcome iff ``eve_ok[i]``; only classes with mass
+    appear.  ``probs`` are the class probabilities, renormalized to sum to
+    one, and ``alice[i]`` is p(alice outcome | class i) in canonical order.
+    Without an adversary every cell counts as guessed right.
+    """
+
+    mismatch: np.ndarray
+    eve_ok: np.ndarray
+    probs: np.ndarray
+    alice: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTable:
+    """The (mismatch, eve_ok) classes of ``joint_table(kind, a, b)``."""
+    layout = layout_of(kind)
+    coins = (0, 1) if layout.coin else (0,)
+    mass: dict[tuple[bool, bool], np.ndarray] = {}
+    for (alice, bob, *eve), p in joint_table(kind, a, b).items():
+        for coin in coins:
+            eve_ok = layout.guess is None or layout.guess(tuple(eve), coin) is alice
+            label = (bob is not swap_partner(a, b, alice), eve_ok)
+            mass.setdefault(label, np.zeros(4))[alice.ordinal] += p / len(coins)
+    labels = sorted(mass)
+    cells = np.array([mass[label] for label in labels])
+    totals = cells.sum(axis=1)
+    fields = {
+        "mismatch": np.array([m for m, _ in labels]),
+        "eve_ok": np.array([ok for _, ok in labels]),
+        "probs": totals / totals.sum(),
+        "alice": cells / totals[:, None],
+    }
+    for array in fields.values():
+        array.flags.writeable = False  # every caller shares the cached table
+    return ClassTable(**fields)
 
 
 def per_check_mismatch(kind: str) -> float:
@@ -205,58 +265,46 @@ class MCReport:
         }
 
 
-def _guesser_fast_batch(config: SessionConfig, trials: int, seed: int) -> MCReport:
-    """Vectorized batch for the guessing adversary.
-
-    Valid because the attack never touches the genuine channel: honest
-    outcomes stay uniform, fragments always agree, detection is
-    impossible, and her per-group guess is an independent uniform draw.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = config.n_groups
-    honest = rng.integers(0, 4, size=(trials, n))
-    guesses = rng.integers(0, 4, size=(trials, n))
-    full_hits = int((honest == guesses).all(axis=1).sum())
-    counts = np.bincount(honest.ravel(), minlength=4)
-    return MCReport(
-        strategy="type1",
-        n_groups=n,
-        k_checked=config.k_checked,
-        trials=trials,
-        seed=seed,
-        detection_rate=0.0,
-        detection_interval=wilson_interval(0, trials),
-        eve_key_rate=full_hits / trials,
-        eve_key_interval=wilson_interval(full_hits, trials),
-        key_agreement_rate=1.0,
-        outcome_counts=tuple(int(c) for c in counts),
-        analytic_detection=analytic_detection("type1", config.k_checked),
-        analytic_eve_key=analytic_eve_key("type1", n),
-    )
+def chunk_sizes(trials: int) -> Iterator[int]:
+    """Trial counts of the table backend's chunks: each at most CHUNK_TRIALS."""
+    for start in range(0, trials, CHUNK_TRIALS):
+        yield min(CHUNK_TRIALS, trials - start)
 
 
-def monte_carlo(
-    config: SessionConfig,
-    kind: str = "none",
-    trials: int = 1000,
-    seed: int = 0,
-    fast_guesser: bool = True,
-) -> MCReport:
-    """Run `trials` independent sessions and summarize them.
+# A batch result: (detections, key agreements, Eve full-key hits, Alice's
+# outcome tallies in canonical order).
+Tally = tuple[int, int, int, np.ndarray]
 
-    Trial t reseeds from (seed, trial index), so batches are reproducible
-    and insensitive to trial order.  `eve_key_rate` counts trials where
-    the adversary reconstructed ALL n fragments, checked groups included;
-    `key_agreement_rate` counts trials where every honest fragment pair
-    agreed.
-    """
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown adversary kind: {kind!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if kind == "type1" and fast_guesser:
-        return _guesser_fast_batch(config, trials, seed)
 
+def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
+    """Sample each trial's class counts per declared pair, chunk by chunk."""
+    declared = declared_pair_states(config)
+    pairs = Counter(zip(declared[0::2], declared[1::2]))
+    tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
+    can_mismatch = any(table.mismatch.any() for _, table in tables)
+    n, k = config.n_groups, config.k_checked
+    detections = agreements = eve_hits = 0
+    counts = np.zeros(4, dtype=np.int64)
+    for c, size in enumerate(chunk_sizes(trials)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        mismatched = np.zeros(size, dtype=np.int64)
+        missed = np.zeros(size, dtype=np.int64)
+        for n_pair, table in tables:
+            drawn = rng.multinomial(n_pair, table.probs, size=size)
+            mismatched += drawn[:, table.mismatch].sum(axis=1)
+            missed += drawn[:, ~table.eve_ok].sum(axis=1)
+            # given the class counts, Alice's outcomes are independent per group
+            for total, alice in zip(drawn.sum(axis=0), table.alice):
+                counts += rng.multinomial(total, alice)
+        if can_mismatch:
+            detections += int((rng.hypergeometric(mismatched, n - mismatched, k) > 0).sum())
+        agreements += int((mismatched == 0).sum())
+        eve_hits += int((missed == 0).sum())
+    return detections, agreements, eve_hits, counts
+
+
+def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
+    """One full statevector session per trial, trial t reseeded from (seed, t)."""
     detections = 0
     agreements = 0
     eve_hits = 0
@@ -272,8 +320,36 @@ def monte_carlo(
             eve_hits += 1
         for g in report.groups:
             counts[g.alice_outcome.ordinal] += 1
-    eve_key_rate = None if kind == "none" else eve_hits / trials
-    eve_key_interval = None if kind == "none" else wilson_interval(eve_hits, trials)
+    return detections, agreements, eve_hits, counts
+
+
+BACKENDS = {"table": _table_batch, "statevector": _statevector_batch}
+
+
+def monte_carlo(
+    config: SessionConfig,
+    kind: str = "none",
+    trials: int = 1000,
+    seed: int = 0,
+    backend: str = "table",
+) -> MCReport:
+    """Run `trials` independent sessions and summarize them.
+
+    ``backend`` is ``"table"`` (sampled from the joint outcome tables) or
+    ``"statevector"`` (one full session per trial); both draw from the
+    same law and each is a pure function of its arguments.
+    `eve_key_rate` counts trials where the adversary reconstructed ALL n
+    fragments, checked groups included; `key_agreement_rate` counts trials
+    where every honest fragment pair agreed.
+    """
+    if kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown adversary kind: {kind!r}")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
+    detections, agreements, eve_hits, counts = BACKENDS[backend](config, kind, trials, seed)
+    has_eve = layout_of(kind).guess is not None
     return MCReport(
         strategy=kind,
         n_groups=config.n_groups,
@@ -282,8 +358,8 @@ def monte_carlo(
         seed=seed,
         detection_rate=detections / trials,
         detection_interval=wilson_interval(detections, trials),
-        eve_key_rate=eve_key_rate,
-        eve_key_interval=eve_key_interval,
+        eve_key_rate=eve_hits / trials if has_eve else None,
+        eve_key_interval=wilson_interval(eve_hits, trials) if has_eve else None,
         key_agreement_rate=agreements / trials,
         outcome_counts=tuple(int(c) for c in counts),
         analytic_detection=analytic_detection(kind, config.k_checked),

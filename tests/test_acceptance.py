@@ -210,7 +210,7 @@ def test_criterion_7_guesser_key_rates_and_zero_detection():
     # detection must be identically zero; cross-check the claim with full
     # statevector sessions, not just the vectorized path
     slow = monte_carlo(
-        SessionConfig(n_groups=4), kind="type1", trials=200, seed=51, fast_guesser=False
+        SessionConfig(n_groups=4), kind="type1", trials=200, seed=51, backend="statevector"
     )
     ok0 = one.detection_rate == 0.0 and four.detection_rate == 0.0 and slow.detection_rate == 0.0
     ok0 &= slow.key_agreement_rate == 1.0

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from entswap import cli
 from entswap.cli import (
     CliUsageError,
     EXIT_ABORT,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -204,6 +206,16 @@ def test_entangler_needs_plain_channels():
         ["attack", "--adversary", "type2", "--groups", "1", "--trials", "5", "--pair-states", "psi+,psi+"]
     )
     assert code == EXIT_USAGE
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("class table lost its mass")
+
+    monkeypatch.setattr(cli, "monte_carlo", broken)
+    code = main(["attack", "--adversary", "type2", "--groups", "1", "--trials", "5"])
+    assert code == EXIT_INTERNAL
+    assert "class table lost its mass" in capsys.readouterr().err
 
 
 def test_attack_json_and_csv(tmp_path, capsys):

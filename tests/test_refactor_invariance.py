@@ -94,7 +94,9 @@ def test_session_reports_are_byte_identical(kind, n, fraction):
 
 @pytest.mark.parametrize("kind", sorted(MC_SAMPLED))
 def test_monte_carlo_sampled_fields_unchanged(kind):
-    report = monte_carlo(SessionConfig(n_groups=4, check_fraction=0.5), kind=kind, trials=30, seed=314)
+    report = monte_carlo(
+        SessionConfig(n_groups=4, check_fraction=0.5), kind=kind, trials=30, seed=314, backend="statevector"
+    )
     payload = report.to_json_dict()
     assert {key: payload[key] for key in MC_SAMPLED[kind]} == MC_SAMPLED[kind]
     detection, eve_key = MC_ANALYTIC[kind]

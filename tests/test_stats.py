@@ -132,7 +132,7 @@ def test_monte_carlo_reproducible():
 def test_monte_carlo_fast_and_slow_guesser_agree_in_law():
     config = SessionConfig(n_groups=1, check_fraction=1.0)
     fast = monte_carlo(config, kind="type1", trials=4000, seed=6)
-    slow = monte_carlo(config, kind="type1", trials=400, seed=6, fast_guesser=False)
+    slow = monte_carlo(config, kind="type1", trials=400, seed=6, backend="statevector")
     assert fast.detection_rate == 0.0 and slow.detection_rate == 0.0
     assert fast.key_agreement_rate == 1.0 and slow.key_agreement_rate == 1.0
     # both estimates sit inside loose 5-sigma bands around 1/4
