@@ -5,159 +5,16 @@ Bell-measuring their own qubits and exploiting the swap identity; a
 statevector backend plays physics oracle, three adversary models attack
 the channel, and Monte Carlo plus analytic statistics quantify detection
 and key-leakage rates.
+
+The top level holds the session and batch entry points; everything else is
+imported from its module (``entswap.bell``, ``entswap.statevector``,
+``entswap.adversary``, ``entswap.protocol``, ``entswap.stats``, ``entswap.cli``).
 """
 
-from .adversary import (
-    AdversaryOrderError,
-    ChannelEntangler,
-    ChannelReplacer,
-    EveReport,
-    EveSuccess,
-    GroupChannels,
-    IndependentGuesser,
-    NoEve,
-    STRATEGY_KINDS,
-    UnsupportedAttackError,
-    corrupt_channels,
-    eve_guess_key,
-    eve_measure,
-    eve_success,
-    make_strategy,
-)
-from .bell import (
-    BELL_ORDER,
-    BellIndex,
-    KeyFragment,
-    bell_by_name,
-    bell_xor,
-    decode_bits,
-    encode_bits,
-    group_key_fragment,
-    swap_partner,
-)
-from .protocol import (
-    AllPhiPlus,
-    CheckRequest,
-    FixedList,
-    GroupRecord,
-    MeasuredAnnouncement,
-    ProtocolOrderError,
-    RandomKnown,
-    SessionConfig,
-    SessionReport,
-    SessionState,
-    VerdictMessage,
-    alice_measure,
-    alice_verify,
-    bob_measure,
-    bob_select_checks,
-    declared_pair_states,
-    finalize_key,
-    run_session,
-    setup_session,
-)
-from .statevector import (
-    MeasurementRecord,
-    StateVector,
-    computational_state,
-    identify_bell,
-    make_bell,
-    make_ghz3,
-    measure_bell,
-    outcome_distribution,
-    project_bell,
-    sample_outcome_ordinals,
-    tensor,
-)
-from .stats import (
-    EfficiencyReport,
-    MCReport,
-    SWEEP_CSV_HEADER,
-    Z95,
-    analytic_detection,
-    analytic_eve_key,
-    chi2_sf_3df,
-    efficiency_report,
-    half_width,
-    monte_carlo,
-    per_check_mismatch,
-    per_group_eve_success,
-    sweep_csv_row,
-    uniformity_test,
-    wilson_interval,
-)
+from .adversary import make_strategy
+from .protocol import SessionConfig, run_session
+from .stats import monte_carlo
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdversaryOrderError",
-    "AllPhiPlus",
-    "BELL_ORDER",
-    "BellIndex",
-    "ChannelEntangler",
-    "ChannelReplacer",
-    "CheckRequest",
-    "EfficiencyReport",
-    "EveReport",
-    "EveSuccess",
-    "FixedList",
-    "GroupChannels",
-    "GroupRecord",
-    "IndependentGuesser",
-    "KeyFragment",
-    "MCReport",
-    "MeasuredAnnouncement",
-    "MeasurementRecord",
-    "NoEve",
-    "ProtocolOrderError",
-    "RandomKnown",
-    "STRATEGY_KINDS",
-    "SWEEP_CSV_HEADER",
-    "SessionConfig",
-    "SessionReport",
-    "SessionState",
-    "StateVector",
-    "UnsupportedAttackError",
-    "VerdictMessage",
-    "Z95",
-    "alice_measure",
-    "alice_verify",
-    "analytic_detection",
-    "analytic_eve_key",
-    "bell_by_name",
-    "bell_xor",
-    "bob_measure",
-    "bob_select_checks",
-    "chi2_sf_3df",
-    "computational_state",
-    "corrupt_channels",
-    "decode_bits",
-    "declared_pair_states",
-    "efficiency_report",
-    "encode_bits",
-    "eve_guess_key",
-    "eve_measure",
-    "eve_success",
-    "finalize_key",
-    "group_key_fragment",
-    "half_width",
-    "identify_bell",
-    "make_bell",
-    "make_ghz3",
-    "make_strategy",
-    "measure_bell",
-    "monte_carlo",
-    "outcome_distribution",
-    "per_check_mismatch",
-    "per_group_eve_success",
-    "project_bell",
-    "run_session",
-    "sample_outcome_ordinals",
-    "setup_session",
-    "swap_partner",
-    "sweep_csv_row",
-    "tensor",
-    "uniformity_test",
-    "wilson_interval",
-    "__version__",
-]
+__all__ = ["SessionConfig", "make_strategy", "monte_carlo", "run_session"]

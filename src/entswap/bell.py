@@ -76,12 +76,19 @@ def bell_by_name(name: str) -> BellIndex:
         raise ValueError(f"unknown Bell state name: {name!r}") from None
 
 
+# The group table: two dict lookups instead of an enum lookup by value per call.
+_XOR = {
+    x: {y: BellIndex((x.phase ^ y.phase, x.parity ^ y.parity)) for y in BELL_ORDER}
+    for x in BELL_ORDER
+}
+
+
 def bell_xor(x: BellIndex, y: BellIndex) -> BellIndex:
     """Group law: component-wise XOR of (phase, parity).
 
     phi+ is the identity and every element is its own inverse.
     """
-    return BellIndex((x.phase ^ y.phase, x.parity ^ y.parity))
+    return _XOR[x][y]
 
 
 def swap_partner(init_a: BellIndex, init_b: BellIndex, measured: BellIndex) -> BellIndex:

@@ -55,6 +55,10 @@ _DEFAULTS = {
 
 _DIST_ATOL = 1e-9
 
+# Upper bound on --groups.  A `run` of this many groups takes ~3 s and
+# ~300 MB; numpy's hypergeometric draw fails outright from 10^9 groups.
+MAX_GROUPS = 100_000
+
 
 class CliUsageError(Exception):
     """Bad flag/file values; maps to exit code 2."""
@@ -76,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: a rebuild per ``main`` call costs
     more than a small Monte Carlo batch and leaves cyclic garbage."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--groups", type=int, default=None, help="groups per session (default 16)")
+    shared.add_argument(
+        "--groups", type=int, default=None, help=f"groups per session (default 16, at most {MAX_GROUPS})"
+    )
     shared.add_argument(
         "--check-fraction",
         type=float,
@@ -216,6 +222,8 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
             seed = 0
     if merged["trials"] < 1:
         raise CliUsageError("--trials must be at least 1")
+    if merged["groups"] > MAX_GROUPS:
+        raise CliUsageError(f"--groups must be at most {MAX_GROUPS}, got {merged['groups']}")
 
     try:
         session = SessionConfig(

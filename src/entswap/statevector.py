@@ -13,12 +13,27 @@ the front of the amplitude tensor.
 Measurement sampling is inverse-CDF over the four outcome probabilities in
 the canonical Bell order (phi+, phi-, psi+, psi-), so seeded runs are
 reproducible bit for bit.
+
+Measurements are memoized on the state they act on.  A ``StateVector`` is
+immutable, so the Bell components of a pair, their Born probabilities and
+the collapsed state of each branch are fixed by (state, pair, branch); each
+state keeps them in a private cache the first time they are asked for, and
+every later ``measure_bell``/``project_bell`` on that pair is a lookup plus
+the one ``rng.random()`` draw.  This is exact: the draw is compared against
+the very float64 sums ``np.cumsum`` produced, and the cached record and
+child are the objects the first computation built, so outcomes, RNG streams
+and amplitudes are bit for bit those of an uncached measurement.  It is
+bounded: a cache only holds branches that were drawn or projected, so under
+a root state it is a tree as deep as the measurements made on it (at most
+1 + 4 + 4 nodes per honest group system), and it is freed with its root.
+The cache takes no part in equality, ``repr`` or ``to_json_dict``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -46,12 +61,34 @@ def _bell_amplitudes(index: BellIndex) -> np.ndarray:
 _BELL_MATRIX = np.array([_bell_amplitudes(b) for b in BELL_ORDER])
 
 
+@dataclass
+class _Branches:
+    """One Bell measurement of one pair of one state, computed once.
+
+    ``cum`` holds the float64 cumulative sums of ``probs`` as ``np.cumsum``
+    gives them, and ``last`` is the last outcome with nonzero probability.
+    ``drawn[k]`` is filled the first time branch k is drawn or projected:
+    its measurement record and its collapsed state.
+    """
+
+    positions: tuple[int, int]
+    components: np.ndarray
+    probs: tuple[float, float, float, float]
+    cum: tuple[float, float, float, float]
+    last: int
+    drawn: list = field(default_factory=lambda: [None] * 4)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Immutable unit-norm amplitude vector over labeled qubits."""
 
     amplitudes: np.ndarray
     labels: tuple[str, ...]
+    # measured pair (qubit_i, qubit_j) -> its branches; see the module docstring
+    _branches: dict[tuple[str, str], _Branches] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -158,20 +195,36 @@ def _collapse(
     return StateVector(t.ravel(), sv.labels)
 
 
+def _pair_branches(sv: StateVector, qubit_i: str, qubit_j: str) -> _Branches:
+    branches = sv._branches.get((qubit_i, qubit_j))
+    if branches is None:
+        pi, pj = _pair_positions(sv, qubit_i, qubit_j)
+        comps = _bell_components(sv, pi, pj)
+        probs = (np.abs(comps) ** 2).sum(axis=1)
+        # a zero-probability branch has a zero-width interval and is never drawn
+        last = int(np.max(np.nonzero(probs > 0.0)[0]))
+        branches = _Branches(
+            (pi, pj), comps, tuple(probs.tolist()), tuple(np.cumsum(probs).tolist()), last
+        )
+        sv._branches[(qubit_i, qubit_j)] = branches
+    return branches
+
+
+def _branch(
+    sv: StateVector, qubit_i: str, qubit_j: str, branches: _Branches, k: int
+) -> tuple[MeasurementRecord, StateVector]:
+    drawn = branches.drawn[k]
+    if drawn is None:
+        record = MeasurementRecord(qubit_i, qubit_j, BELL_ORDER[k], branches.probs)
+        pi, pj = branches.positions
+        child = _collapse(sv, pi, pj, k, branches.components, branches.probs[k])
+        drawn = branches.drawn[k] = (record, child)
+    return drawn
+
+
 def outcome_distribution(sv: StateVector, qubit_i: str, qubit_j: str) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on a pair, canonical order."""
-    pi, pj = _pair_positions(sv, qubit_i, qubit_j)
-    comps = _bell_components(sv, pi, pj)
-    return (np.abs(comps) ** 2).sum(axis=1)
-
-
-def _sample_index(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
-    # Inverse CDF in canonical order; a zero-probability branch has a
-    # zero-width interval and can never be selected.
-    cum = np.cumsum(probs)
-    k = np.searchsorted(cum, u, side="right")
-    last = int(np.max(np.nonzero(probs > 0.0)[0]))
-    return np.minimum(k, last)
+    return np.array(_pair_branches(sv, qubit_i, qubit_j).probs)
 
 
 def measure_bell(
@@ -180,14 +233,12 @@ def measure_bell(
     """Sample a Bell measurement on the pair and collapse the full state.
 
     Deterministic given the rng state; repeating on the already-collapsed
-    pair returns the same outcome with probability 1.
+    pair returns the same outcome with probability 1.  Sampling is inverse
+    CDF in canonical order and draws exactly one ``rng.random()``.
     """
-    pi, pj = _pair_positions(sv, qubit_i, qubit_j)
-    comps = _bell_components(sv, pi, pj)
-    probs = (np.abs(comps) ** 2).sum(axis=1)
-    k = int(_sample_index(probs, rng.random()))
-    record = MeasurementRecord(qubit_i, qubit_j, BELL_ORDER[k], tuple(float(p) for p in probs))
-    return record, _collapse(sv, pi, pj, k, comps, float(probs[k]))
+    branches = _pair_branches(sv, qubit_i, qubit_j)
+    k = min(bisect_right(branches.cum, rng.random()), branches.last)
+    return _branch(sv, qubit_i, qubit_j, branches, k)
 
 
 def project_bell(
@@ -198,14 +249,12 @@ def project_bell(
     Returns (probability of that branch, renormalized collapsed state).
     Used for exhaustive table checks that must not depend on sampling luck.
     """
-    pi, pj = _pair_positions(sv, qubit_i, qubit_j)
-    comps = _bell_components(sv, pi, pj)
-    probs = (np.abs(comps) ** 2).sum(axis=1)
+    branches = _pair_branches(sv, qubit_i, qubit_j)
     k = outcome.ordinal
-    prob = float(probs[k])
+    prob = branches.probs[k]
     if prob < MIN_FORCED_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob}; cannot condition on it")
-    return prob, _collapse(sv, pi, pj, k, comps, prob)
+    return prob, _branch(sv, qubit_i, qubit_j, branches, k)[1]
 
 
 def identify_bell(sv: StateVector, qubit_i: str, qubit_j: str) -> BellIndex | None:
@@ -230,5 +279,6 @@ def sample_outcome_ordinals(
     Equivalent to measuring `size` independent copies of the state; the
     per-copy collapse is skipped because only the outcomes are wanted.
     """
-    probs = outcome_distribution(sv, qubit_i, qubit_j)
-    return _sample_index(probs, rng.random(size))
+    branches = _pair_branches(sv, qubit_i, qubit_j)
+    k = np.searchsorted(branches.cum, rng.random(size), side="right")
+    return np.minimum(k, branches.last)

@@ -312,3 +312,20 @@ def test_cli_byte_determinism(tmp_path):
         a_bytes = (tmp_path / ("a" + ext)).read_bytes()
         b_bytes = (tmp_path / ("b" + ext)).read_bytes()
         assert a_bytes == b_bytes and a_bytes
+
+
+def test_groups_above_the_bound_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "edge.json"
+    edge = ["attack", "--adversary", "type1", "--trials", "3", "--out", str(out)]
+    assert main(edge + ["--groups", str(cli.MAX_GROUPS)]) == EXIT_OK
+    assert main(edge + ["--groups", str(cli.MAX_GROUPS + 1)]) == EXIT_USAGE
+    # used to build a 2n-entry pair list, then fail inside numpy with exit 5
+    assert main(["attack", "--groups", "1000000000", "--trials", "3"]) == EXIT_USAGE
+    assert f"at most {cli.MAX_GROUPS}" in capsys.readouterr().err
+
+
+def test_config_file_groups_above_the_bound_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "huge.cfg"
+    config.write_text("groups = 1000000000\nadversary = type1\n")
+    assert main(["attack", "--config", str(config), "--trials", "3"]) == EXIT_USAGE
+    assert f"at most {cli.MAX_GROUPS}" in capsys.readouterr().err
