@@ -16,7 +16,8 @@ group, the pair Alice, Bob and Eve each measure, the stage at which Eve
 measures, whether the attack needs all-phi+ declared pairs, and Eve's guess
 rule.  Session simulation, the joint outcome tables of
 :mod:`entswap.stats` and the oracle self-check all read that one record, so
-a new attack is one new entry.
+a new attack is one new entry.  A session's :class:`AdversaryStrategy`
+only names its kind and collects Eve's outcomes.
 
 All adversary physics flows through the statevector oracle; no correlation
 table is hard-coded here, so the detection and guess probabilities the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -81,58 +82,23 @@ class GroupChannels:
 
 @dataclass
 class AdversaryStrategy:
-    """Per-session adversary state.
+    """Per-session adversary state for one kind in ``LAYOUTS``.
 
     ``by_group`` holds Eve's outcomes, one tuple per group in the order of
     her layout's targets.
     """
 
-    kind: ClassVar[str]
+    kind: str
     by_group: list[tuple[BellIndex, ...]] = field(default_factory=list)
     measured: bool = False
 
-
-class NoEve(AdversaryStrategy):
-    kind = "none"
-
-
-class IndependentGuesser(AdversaryStrategy):
-    """Owns private phi+ pairs per group; her swap outcomes are her guesses."""
-
-    kind = "type1"
-
-    @property
-    def outcomes(self) -> list[BellIndex]:
-        return [eve[0] for eve in self.by_group]
-
-
-class ChannelEntangler(AdversaryStrategy):
-    """Replaces each shared pair with a GHZ triple and keeps the third qubit."""
-
-    kind = "type2"
-
-    @property
-    def outcomes(self) -> list[BellIndex]:
-        return [eve[0] for eve in self.by_group]
-
-
-class ChannelReplacer(AdversaryStrategy):
-    """Shares pairs with Alice and with Bob separately and swaps in between."""
-
-    kind = "type3"
-
-    @property
-    def bob_facing(self) -> list[BellIndex]:
-        return [eve[0] for eve in self.by_group]
-
-    @property
-    def alice_facing(self) -> list[BellIndex]:
-        return [eve[1] for eve in self.by_group]
+    def __post_init__(self) -> None:
+        layout_of(self.kind)
 
 
 @dataclass(frozen=True)
 class Layout:
-    """One attack's physical layout.
+    """One attack's physical layout, under its wire-format ``kind`` tag.
 
     ``systems`` maps a group's declared pair states to its named physical
     systems; it is memoized per declared pair, and callers copy the dict
@@ -142,7 +108,7 @@ class Layout:
     the rule reads the coin, so a session only draws one when it does.
     """
 
-    strategy: type[AdversaryStrategy]
+    kind: str
     systems: Callable[[BellIndex, BellIndex], dict[str, StateVector]]
     alice: Target
     bob: Target
@@ -163,7 +129,7 @@ class Layout:
         """
         if self.phi_only and (a is not PHI or b is not PHI):
             raise UnsupportedAttackError(
-                f"{self.strategy.kind} is only modeled for phi+ channels, declared ({a}, {b})"
+                f"{self.kind} is only modeled for phi+ channels, declared ({a}, {b})"
             )
         return self.systems(a, b)
 
@@ -185,16 +151,16 @@ def _bell_pairs(a: BellIndex, b: BellIndex, prime: str = "") -> StateVector:
 
 
 LAYOUTS: dict[str, Layout] = {
-    layout.strategy.kind: layout
+    layout.kind: layout
     for layout in (
         Layout(
-            NoEve,
+            "none",
             systems=lambda a, b: {"main": _bell_pairs(a, b)},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
         ),
         Layout(
-            IndependentGuesser,
+            "type1",
             systems=lambda a, b: {"main": _bell_pairs(a, b), "eve": _bell_pairs(PHI, PHI, "p")},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
@@ -204,7 +170,7 @@ LAYOUTS: dict[str, Layout] = {
             guess=lambda eve, coin: eve[0],
         ),
         Layout(
-            ChannelEntangler,
+            "type2",
             systems=lambda a, b: {"main": tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
@@ -217,7 +183,7 @@ LAYOUTS: dict[str, Layout] = {
             coin=True,
         ),
         Layout(
-            ChannelReplacer,
+            "type3",
             systems=lambda a, b: {
                 "alice_side": _bell_pairs(PHI, PHI),
                 "bob_side": _bell_pairs(PHI, PHI, "p"),
@@ -247,7 +213,7 @@ def layout_of(kind: str) -> Layout:
 
 def make_strategy(kind: str) -> AdversaryStrategy:
     """Fresh per-session strategy state for a wire-format kind tag."""
-    return layout_of(kind).strategy()
+    return AdversaryStrategy(kind)
 
 
 def corrupt_channels(
@@ -349,24 +315,3 @@ def eve_guess_key(
         full_key_correct=all(correct),
         per_group_correct=tuple(correct),
     )
-
-
-@dataclass(frozen=True)
-class EveSuccess:
-    """Join of Eve's guess with the session verdict."""
-
-    undetected: bool
-    key_stolen: bool
-
-
-def eve_success(report, eve: EveReport | None) -> EveSuccess:
-    """Score one finished session: did Eve pass unnoticed, did she get the key?
-
-    ``key_stolen`` compares against the net (post-sifting) session key; the
-    all-groups metric lives in ``EveReport.full_key_correct``.
-    """
-    undetected = report.verdict == "accept"
-    key_stolen = (
-        eve is not None and report.alice_key != "" and eve.guessed_key == report.alice_key
-    )
-    return EveSuccess(undetected=undetected, key_stolen=key_stolen)

@@ -29,10 +29,10 @@ from .adversary import (
     AdversaryStrategy,
     EveReport,
     GroupChannels,
-    NoEve,
     corrupt_channels,
     eve_guess_key,
     eve_measure,
+    make_strategy,
 )
 from .bell import BELL_ORDER, BellIndex, KeyFragment, group_key_fragment, swap_partner
 
@@ -266,7 +266,7 @@ def setup_session(
     The parties record the DECLARED pair states; whatever the adversary
     actually put on the channel lives only in the group channels.
     """
-    adversary = adversary if adversary is not None else NoEve()
+    adversary = adversary if adversary is not None else make_strategy("none")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     honest_ss, eve_ss = seed_seq.spawn(2)

@@ -79,9 +79,14 @@ class _Branches:
     drawn: list = field(default_factory=lambda: [None] * 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Immutable unit-norm amplitude vector over labeled qubits."""
+    """Immutable unit-norm amplitude vector over labeled qubits.
+
+    The amplitudes are a private read-only copy of what the caller passed,
+    so neither the state nor its cached branches change behind its back.
+    Two states are equal when their labels and amplitudes are.
+    """
 
     amplitudes: np.ndarray
     labels: tuple[str, ...]
@@ -92,7 +97,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
         n = len(labels)
@@ -106,6 +111,11 @@ class StateVector:
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
         amps.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.amplitudes, other.amplitudes)
 
     @property
     def num_qubits(self) -> int:

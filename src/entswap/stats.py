@@ -9,8 +9,8 @@ Three layers:
   ``adversary.Layout`` conditions on every measurement outcome, in session
   order, to build the exact joint table of one group's outcomes for a
   declared pair; per-check mismatch and per-group key-guess probabilities
-  are marginals of that table, not hard-coded, so the analytic column in
-  reports is itself oracle-derived;
+  are masses of its (mismatch, eve_ok) classes, not hard-coded, so the
+  analytic column in reports is itself oracle-derived;
 * Monte Carlo drivers that summarize detection, key-agreement, and
   eavesdropper success rates over a batch of trials.
 
@@ -185,31 +185,24 @@ def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTab
 def per_check_mismatch(kind: str) -> float:
     """Probability one CHECKED group's fragments disagree.
 
-    The table mass where Bob's outcome is not the one Alice infers from
-    hers; with no reachable mismatching cell this is exactly 0.0.
+    The mass of the mismatching classes of ``class_table(kind)``; with no
+    reachable mismatching cell this is exactly 0.0.
     """
-    return sum(
-        (p for (a, b, *_), p in joint_table(kind).items() if b is not swap_partner(_PHI, _PHI, a)),
-        0.0,
-    )
+    table = class_table(kind)
+    return float(table.probs[table.mismatch].sum())
 
 
 def per_group_eve_success(kind: str) -> float | None:
     """Probability the adversary reconstructs one group's fragment.
 
-    The table mass where her guess, averaged over its fair coin, equals
+    The mass of the classes of ``class_table(kind)`` where her guess is
     Alice's outcome.  None for the honest channel (there is no adversary
     to succeed).
     """
-    guess = layout_of(kind).guess
-    if guess is None:
+    if layout_of(kind).guess is None:
         return None
-    return sum(
-        p / 2
-        for (a, _, *eve), p in joint_table(kind).items()
-        for coin in (0, 1)
-        if guess(tuple(eve), coin) is a
-    )
+    table = class_table(kind)
+    return float(table.probs[table.eve_ok].sum())
 
 
 def analytic_detection(kind: str, k_checked: int) -> float:

@@ -147,7 +147,7 @@ def test_criterion_5_entangler_conditional_structure():
     alice = [ch.measure(ch.alice, rng) for ch in channels]
     bob = [ch.measure(ch.bob, rng) for ch in channels]
     eve_measure(strategy, channels, "after_bob", rng)
-    eve = strategy.outcomes
+    eve = [e for (e,) in strategy.by_group]
 
     paired = sum(
         e is BellIndex((a.phase ^ b.phase, a.parity)) for a, b, e in zip(alice, bob, eve)

@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entswap import cli
 from entswap.cli import (
@@ -18,7 +20,7 @@ from entswap.cli import (
     parse_config_file,
 )
 from entswap.protocol import SessionConfig, run_session
-from entswap.adversary import make_strategy
+from entswap.adversary import STRATEGY_KINDS, make_strategy
 from entswap.stats import SWEEP_CSV_HEADER
 
 
@@ -171,6 +173,55 @@ def test_config_file_layering(tmp_path, capsys):
     assert payload["config"]["n_groups"] == 3
     assert payload["config"]["check_fraction"] == 1.0
     assert payload["config"]["seed"] == 4
+
+
+# A valid value of every option, written the same way in a file and on the
+# command line; the resolved option read back from a CliConfig.
+OPTION_VALUES = {
+    "groups": st.integers(1, 64),
+    "check-fraction": st.floats(0.01, 1.0),
+    "adversary": st.sampled_from(STRATEGY_KINDS),
+    "trials": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**32),
+    "pair-states": st.one_of(st.just("phi+"), st.integers(0, 999).map(lambda s: f"random:{s}")),
+    "out": st.text("abxyz._/", min_size=1, max_size=12),
+    "format": st.sampled_from(("json", "csv", "both")),
+}
+RESOLVED = {
+    "groups": lambda c: c.session.n_groups,
+    "check-fraction": lambda c: c.session.check_fraction,
+    "adversary": lambda c: c.adversary,
+    "trials": lambda c: c.trials,
+    "seed": lambda c: c.seed,
+    "pair-states": lambda c: c.session.pair_states.describe(),
+    "out": lambda c: c.out,
+    "format": lambda c: c.format,
+}
+# what an option resolves to when neither the file nor a flag sets it
+UNSET = {**cli._DEFAULTS, "seed": 0}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    in_file=st.fixed_dictionaries({}, optional=OPTION_VALUES),
+    as_flags=st.fixed_dictionaries({}, optional=OPTION_VALUES),
+)
+def test_flags_override_the_config_file_which_overrides_defaults(tmp_path, in_file, as_flags):
+    assert set(RESOLVED) == set(OPTION_VALUES) == set(cli._DEFAULTS)
+    config = tmp_path / "opts.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in in_file.items()))
+    argv = ["attack", "--config", str(config)]
+    for key, value in as_flags.items():
+        argv += [f"--{key}", str(value)]
+    resolved = cli.resolve_options(cli.build_parser().parse_args(argv))
+    for key, read in RESOLVED.items():
+        expected = as_flags.get(key, in_file.get(key, UNSET[key]))
+        assert read(resolved) == expected, (key, in_file, as_flags)
 
 
 def test_config_file_rejects_unknown_and_malformed_keys(tmp_path):

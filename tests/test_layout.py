@@ -4,7 +4,7 @@ import pytest
 
 from entswap.adversary import LAYOUTS, STRATEGY_KINDS, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
-from entswap.stats import joint_table, per_check_mismatch, per_group_eve_success
+from entswap.stats import class_table, joint_table, per_check_mismatch, per_group_eve_success
 
 PHI = BellIndex.PHI_PLUS
 
@@ -15,8 +15,7 @@ NONZERO_CELLS = {"none": 4, "type1": 16, "type2": 8, "type3": 16}
 def test_layouts_drive_the_strategy_kinds():
     assert STRATEGY_KINDS == tuple(LAYOUTS)
     for kind, layout in LAYOUTS.items():
-        assert make_strategy(kind).kind == kind
-        assert isinstance(make_strategy(kind), layout.strategy)
+        assert make_strategy(kind).kind == layout.kind == kind
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
@@ -36,6 +35,57 @@ def test_joint_table_is_a_distribution_with_uniform_alice(kind):
 def test_untouched_channels_never_mismatch(kind):
     assert all(b is swap_partner(PHI, PHI, a) for a, b, *_ in joint_table(kind))
     assert per_check_mismatch(kind) == 0.0
+
+
+def reference_classes(kind, a, b):
+    """(mismatch, eve_ok) -> p(alice) cells, walked cell by cell over the joint table.
+
+    Each cell's fragments mismatch when Bob's outcome is not the swap partner
+    of Alice's; Eve's guess is averaged over her fair coin where she has one.
+    """
+    layout = LAYOUTS[kind]
+    coins = (0, 1) if layout.coin else (0,)
+    classes = {}
+    for (alice, bob, *eve), p in joint_table(kind, a, b).items():
+        for coin in coins:
+            guessed = layout.guess is None or layout.guess(tuple(eve), coin) is alice
+            label = (bob is not swap_partner(a, b, alice), guessed)
+            cells = classes.setdefault(label, [0.0] * 4)
+            cells[alice.ordinal] += p / len(coins)
+    return classes
+
+
+SUPPORTED_PAIRS = [
+    (kind, a, b)
+    for kind, layout in LAYOUTS.items()
+    for a in BELL_ORDER
+    for b in BELL_ORDER
+    if not layout.phi_only or a is b is PHI
+]
+
+
+@pytest.mark.parametrize("kind, a, b", SUPPORTED_PAIRS, ids=str)
+def test_class_table_masses_match_the_cell_walk(kind, a, b):
+    reference = reference_classes(kind, a, b)
+    table = class_table(kind, a, b)
+    labels = list(zip(table.mismatch.tolist(), table.eve_ok.tolist()))
+    assert sorted(labels) == sorted(reference)
+    for label, prob, alice in zip(labels, table.probs, table.alice):
+        cells = reference[label]
+        assert abs(prob - sum(cells)) <= 1e-12
+        assert all(abs(x - c / sum(cells)) <= 1e-12 for x, c in zip(alice, cells))
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_analytic_rates_match_the_cell_walk(kind):
+    reference = reference_classes(kind, PHI, PHI)
+    mismatch = sum(sum(cells) for (m, _), cells in reference.items() if m)
+    guessed = sum(sum(cells) for (_, ok), cells in reference.items() if ok)
+    assert abs(per_check_mismatch(kind) - mismatch) <= 1e-12
+    if LAYOUTS[kind].guess is None:
+        assert per_group_eve_success(kind) is None
+    else:
+        assert abs(per_group_eve_success(kind) - guessed) <= 1e-12
 
 
 def test_unknown_kind_raises():

@@ -75,6 +75,29 @@ def test_amplitudes_are_read_only():
         sv.amplitudes[0] = 1.0
 
 
+def test_distinct_equal_states_compare_equal():
+    a = make_bell(BellIndex.PHI_PLUS, "a", "b")
+    assert a == make_bell(BellIndex.PHI_PLUS, "a", "b")
+    assert a != make_bell(BellIndex.PHI_MINUS, "a", "b")
+    assert a != make_bell(BellIndex.PHI_PLUS, "a", "c")
+    assert a != a.amplitudes.tolist()
+
+
+def test_state_owns_its_amplitudes():
+    base = np.array([INV_SQRT2, 0.0, 0.0, INV_SQRT2], dtype=complex)
+    sv = StateVector(base[:], ("a", "b"))
+    probs = outcome_distribution(sv, "a", "b")
+    drawn = measure_bell(sv, "a", "b", np.random.default_rng(0))
+    base[:] = [0.0, 1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(sv.amplitudes, [INV_SQRT2, 0.0, 0.0, INV_SQRT2])
+    # the memoized branches still describe the state's own amplitudes
+    fresh = StateVector(sv.amplitudes, sv.labels)
+    np.testing.assert_array_equal(outcome_distribution(sv, "a", "b"), probs)
+    np.testing.assert_array_equal(outcome_distribution(fresh, "a", "b"), probs)
+    assert measure_bell(sv, "a", "b", np.random.default_rng(0)) == drawn
+    assert measure_bell(fresh, "a", "b", np.random.default_rng(0)) == drawn
+
+
 def test_tensor_rejects_label_collisions():
     a = make_bell(BellIndex.PHI_PLUS, "1", "2")
     b = make_bell(BellIndex.PHI_PLUS, "2", "3")
