@@ -65,7 +65,6 @@ _ENCODE = {
     BellIndex.PSI_PLUS: "10",
     BellIndex.PHI_MINUS: "11",
 }
-_DECODE = {bits: b for b, bits in _ENCODE.items()}
 
 
 def bell_by_name(name: str) -> BellIndex:
@@ -106,14 +105,6 @@ def swap_partner(init_a: BellIndex, init_b: BellIndex, measured: BellIndex) -> B
 def encode_bits(b: BellIndex) -> str:
     """Encode a Bell state as its two classical key bits."""
     return _ENCODE[b]
-
-
-def decode_bits(bits: str) -> BellIndex:
-    """Inverse of :func:`encode_bits`."""
-    try:
-        return _DECODE[bits]
-    except KeyError:
-        raise ValueError(f"not a Bell codeword: {bits!r}") from None
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,23 @@
 
 Subcommands:
 
-* ``run``          one full session, report JSON plus a summary line
+* ``run``          one full session: report JSON, or a CSV table with one
+                   row per group whose columns are the group JSON keys,
+                   plus a summary line
 * ``attack``       one Monte Carlo batch for a chosen adversary
 * ``sweep``        adversary batches over a k = 1..k_checked grid,
                    CSV summary plus per-point JSON files
-* ``oracle-check`` exhaustive simulator self-checks, pass/fail table
+* ``oracle-check`` simulator self-checks (swap rule vs oracle, outcome
+                   uniformity, entangler structure), pass/fail table
 
 Exit codes are a stable contract: 0 success/accept, 1 I/O failure,
 2 usage error, 3 session aborted, 4 oracle check failed, 5 internal error
-(a broken invariant, not a user mistake).
+(any unexpected exception inside the program, not a user mistake).
 
 Options resolve as: built-in defaults, then the ``--config`` file, then
 explicit flags.  The config file is flat ``key = value`` text whose keys
-mirror the long flag names (``groups = 16``); unknown keys are rejected.
+mirror the long flag names (``groups = 16``); unknown keys are rejected,
+and the flags' own argparse actions type and check its values.
 ``ENTSWAP_SEED`` supplies the seed when ``--seed`` is absent.  All output
 is a deterministic function of the resolved options.
 """
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,10 +82,10 @@ class CliConfig:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: a rebuild per ``main`` call costs
-    more than a small Monte Carlo batch and leaves cyclic garbage."""
-    shared = argparse.ArgumentParser(add_help=False)
+def _options_parser() -> argparse.ArgumentParser:
+    """The options every subcommand shares, built once.  It also types and
+    checks the config file's values, so it raises instead of exiting."""
+    shared = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     shared.add_argument(
         "--groups", type=int, default=None, help=f"groups per session (default 16, at most {MAX_GROUPS})"
     )
@@ -112,16 +118,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format for run/attack (default json); sweep always writes both",
     )
     shared.add_argument("--config", default=None, help="flat key = value options file")
+    return shared
 
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: a rebuild per ``main`` call costs
+    more than a small Monte Carlo batch and leaves cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="entswap",
         description="Simulate an entanglement-swapping key agreement protocol and its adversaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[shared], help="run one session end to end")
-    sub.add_parser("attack", parents=[shared], help="Monte Carlo batch for one adversary")
-    sub.add_parser("sweep", parents=[shared], help="batches over k = 1..k_checked")
-    sub.add_parser("oracle-check", parents=[shared], help="simulator self-checks")
+    shared = [_options_parser()]
+    sub.add_parser("run", parents=shared, help="run one session end to end")
+    sub.add_parser("attack", parents=shared, help="Monte Carlo batch for one adversary")
+    sub.add_parser("sweep", parents=shared, help="batches over k = 1..k_checked")
+    sub.add_parser("oracle-check", parents=shared, help="simulator self-checks")
     return parser
 
 
@@ -145,22 +158,19 @@ def parse_config_file(text: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value, lineno_hint: str = "config") -> object:
-    """Coerce a raw string from the config file to the flag's type."""
-    if not isinstance(value, str):
-        return value
+def _config_values(path: str) -> argparse.Namespace:
+    """The config file's values, typed and checked by the flags' own actions."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise CliUsageError(f"config file {path} is not UTF-8 text") from exc
+    # the "=" form keeps a value such as "-x.json" a value
+    tokens = [f"--{key}={value}" for key, value in parse_config_file(text).items()]
     try:
-        if key in ("groups", "trials", "seed"):
-            return int(value)
-        if key == "check-fraction":
-            return float(value)
-    except ValueError as exc:
-        raise CliUsageError(f"{lineno_hint}: bad value for {key!r}: {value!r}") from exc
-    if key == "adversary" and value not in STRATEGY_KINDS:
-        raise CliUsageError(f"{lineno_hint}: unknown adversary {value!r}")
-    if key == "format" and value not in ("json", "csv", "both"):
-        raise CliUsageError(f"{lineno_hint}: unknown format {value!r}")
-    return value
+        return _options_parser().parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise CliUsageError(f"config file {path}: {exc}") from exc
 
 
 def parse_pair_states(text: str, n_groups: int, session_seed: int) -> PairStatePolicy:
@@ -186,29 +196,12 @@ def parse_pair_states(text: str, n_groups: int, session_seed: int) -> PairStateP
 
 def resolve_options(args: argparse.Namespace) -> CliConfig:
     """Layer defaults, config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                text = handle.read()
-            except UnicodeDecodeError as exc:
-                raise CliUsageError(f"config file {args.config} is not UTF-8 text") from exc
-        file_values = parse_config_file(text)
-        for key, value in file_values.items():
-            merged[key] = _coerce(key, value, f"config file {args.config}")
-    flag_values = {
-        "groups": args.groups,
-        "check-fraction": args.check_fraction,
-        "adversary": args.adversary,
-        "trials": args.trials,
-        "seed": args.seed,
-        "pair-states": args.pair_states,
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
+    in_file = _config_values(args.config) if args.config is not None else argparse.Namespace()
+    merged = {}
+    for key, default in _DEFAULTS.items():
+        dest = key.replace("-", "_")
+        flag, filed = getattr(args, dest), getattr(in_file, dest, None)
+        merged[key] = flag if flag is not None else filed if filed is not None else default
 
     seed = merged["seed"]
     if seed is None:
@@ -250,8 +243,6 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -259,57 +250,37 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _emit(options: CliConfig, json_text: str, csv_text: str | None) -> None:
-    """Write json/csv/both to --out (or stdout for a single format)."""
+def _csv_cell(value) -> str:
+    """A report JSON value as a CSV cell: null empty, booleans 1/0."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def _emit(options: CliConfig, summary: str, json_text: str, csv_text: str) -> None:
+    """Write json/csv/both to --out (or stdout for a single format), then the
+    summary line: to stdout, or to stderr when the report itself went there."""
     fmt = options.format
-    if fmt == "csv" and csv_text is None:
-        raise CliUsageError(f"{options.command} has no CSV representation")
     if options.out is None:
         if fmt == "both":
             raise CliUsageError("--format both requires --out")
         sys.stdout.write(json_text if fmt == "json" else csv_text)
+        print(summary, file=sys.stderr)
         return
-    base, ext = os.path.splitext(options.out)
-    if fmt == "json":
-        targets = [(options.out, json_text)]
-    elif fmt == "csv":
-        targets = [(options.out, csv_text)]
+    if fmt == "both":
+        base = os.path.splitext(options.out)[0]
+        _write(base + ".json", json_text)
+        _write(base + ".csv", csv_text)
     else:
-        targets = [(base + ".json", json_text), (base + ".csv", csv_text)]
-    for path, text in targets:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _group_csv_rows(report) -> list[list[str]]:
-    rows = []
-    for g in report.groups:
-        d = g.to_json_dict()
-        rows.append(
-            [
-                str(d["group_index"]),
-                d["pair_a_state"],
-                d["pair_b_state"],
-                d["alice_outcome"] or "",
-                d["bob_outcome"] or "",
-                d["alice_fragment"] or "",
-                d["bob_fragment"] or "",
-                "1" if d["checked"] else "0",
-            ]
-        )
-    return rows
-
-
-_GROUP_CSV_HEADER = (
-    "group_index",
-    "pair_a_state",
-    "pair_b_state",
-    "alice_outcome",
-    "bob_outcome",
-    "alice_fragment",
-    "bob_fragment",
-    "checked",
-)
+        _write(options.out, json_text if fmt == "json" else csv_text)
+    print(summary)
 
 
 def cmd_run(options: CliConfig) -> int:
@@ -319,12 +290,9 @@ def cmd_run(options: CliConfig) -> int:
         f"keys_equal={str(report.keys_equal).lower()} adversary={options.adversary} "
         f"seed={options.seed}"
     )
-    json_text = _json_text(report.to_json_dict())
-    csv_text = _csv_text(_GROUP_CSV_HEADER, _group_csv_rows(report))
-    _emit(options, json_text, csv_text)
-    # keep stdout machine-readable when the report itself goes there
-    stream = sys.stdout if options.out is not None else sys.stderr
-    print(summary, file=stream)
+    groups = [g.to_json_dict() for g in report.groups]
+    rows = ([_csv_cell(value) for value in g.values()] for g in groups)
+    _emit(options, summary, _json_text(report.to_json_dict()), _csv_text(list(groups[0]), rows))
     return EXIT_OK if report.verdict == "accept" else EXIT_ABORT
 
 
@@ -336,11 +304,8 @@ def cmd_attack(options: CliConfig) -> int:
         f"attack: strategy={report.strategy} trials={report.trials} "
         f"detection={report.detection_rate:.6f} analytic={report.analytic_detection:.6f}"
     )
-    json_text = _json_text(report.to_json_dict())
     csv_text = _csv_text(SWEEP_CSV_HEADER, [sweep_csv_row(report)])
-    _emit(options, json_text, csv_text)
-    stream = sys.stdout if options.out is not None else sys.stderr
-    print(summary, file=stream)
+    _emit(options, summary, _json_text(report.to_json_dict()), csv_text)
     return EXIT_OK
 
 
@@ -363,15 +328,13 @@ def cmd_sweep(options: CliConfig) -> int:
         report = monte_carlo(session, kind=options.adversary, trials=options.trials, seed=options.seed)
         rows.append(sweep_csv_row(report))
         point_path = os.path.join(options.out, f"{options.adversary}_k{k}.json")
-        with open(point_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_json_text(report.to_json_dict()))
+        _write(point_path, _json_text(report.to_json_dict()))
         print(
             f"sweep: k={k} detection={report.detection_rate:.6f} "
             f"analytic={report.analytic_detection:.6f}"
         )
     csv_path = os.path.join(options.out, "sweep.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_text(SWEEP_CSV_HEADER, rows))
+    _write(csv_path, _csv_text(SWEEP_CSV_HEADER, rows))
     print(f"sweep: wrote {csv_path} and {k_max} point files")
     return EXIT_OK
 
@@ -405,63 +368,38 @@ def _entangler_failures(table):
 
 def oracle_check_rows() -> list[tuple[str, bool, str]]:
     """All simulator self-checks as (name, passed, detail) rows."""
-    rows = []
-
-    failures = []
-    for a in BELL_ORDER:
-        for b in BELL_ORDER:
-            sv = tensor(make_bell(a, "1", "2"), make_bell(b, "3", "4"))
-            for m in BELL_ORDER:
-                for measured, remote in ((("1", "3"), ("2", "4")), (("2", "3"), ("1", "4"))):
-                    _, collapsed = project_bell(sv, measured[0], measured[1], m)
-                    found = identify_bell(collapsed, remote[0], remote[1])
-                    want = swap_partner(a, b, m)
-                    if found is not want:
-                        failures.append(f"({a},{b},{m}) split {measured}: oracle {found} != rule {want}")
-    rows.append(
-        (
-            "swap rule vs oracle, 64 triples x 2 splits",
-            not failures,
-            failures[0] if failures else "128/128 match",
-        )
-    )
-
+    swap_failures = []
     worst = 0.0
     for a in BELL_ORDER:
         for b in BELL_ORDER:
             sv = tensor(make_bell(a, "1", "2"), make_bell(b, "3", "4"))
-            probs = outcome_distribution(sv, "1", "3")
-            worst = max(worst, float(abs(probs - 0.25).max()))
-    rows.append(
+            worst = max(worst, float(abs(outcome_distribution(sv, "1", "3") - 0.25).max()))
+            for m in BELL_ORDER:
+                for measured, remote in ((("1", "3"), ("2", "4")), (("2", "3"), ("1", "4"))):
+                    found = identify_bell(project_bell(sv, *measured, m)[1], *remote)
+                    want = swap_partner(a, b, m)
+                    if found is not want:
+                        swap_failures.append(
+                            f"({a},{b},{m}) split {measured}: oracle {found} != rule {want}"
+                        )
+    ghz_fail = next(_entangler_failures(joint_table("type2")), "")
+    return [
+        (
+            "swap rule vs oracle, 64 triples x 2 splits",
+            not swap_failures,
+            swap_failures[0] if swap_failures else "128/128 match",
+        ),
         (
             "outcome uniformity, 16 initial pairs",
             worst < _DIST_ATOL,
             f"max |p - 1/4| = {worst:.3e}",
-        )
-    )
-
-    ghz_fail = next(_entangler_failures(joint_table("type2")), "")
-    rows.append(
+        ),
         (
             "entangler conditional structure (bob 1/2+1/2, eve paired)",
             not ghz_fail,
             ghz_fail or "all 4 alice branches confirmed",
-        )
-    )
-
-    spot_sv = tensor(
-        make_bell(BellIndex.PHI_PLUS, "1", "2"), make_bell(BellIndex.PSI_PLUS, "3", "4")
-    )
-    _, spot_state = project_bell(spot_sv, "1", "3", BellIndex.PSI_PLUS)
-    spot_found = identify_bell(spot_state, "2", "4")
-    rows.append(
-        (
-            "spot check: phi+ x psi+, outcome psi+ leaves phi+",
-            spot_found is BellIndex.PHI_PLUS,
-            f"remote pair identified as {spot_found}",
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 def cmd_oracle_check(options: CliConfig) -> int:
@@ -495,9 +433,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # options are validated before dispatch, so this is a program fault
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # options are validated before dispatch, so anything else is a program fault
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -155,16 +154,6 @@ def make_ghz3(label_i: str, label_j: str, label_k: str) -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[7] = _INV_SQRT2
     return StateVector(amps, (label_i, label_j, label_k))
-
-
-def computational_state(bits: str, labels: Iterable[str]) -> StateVector:
-    """Computational basis state |bits> with bits[k] on labels[k]."""
-    labels = tuple(labels)
-    if len(bits) != len(labels):
-        raise ValueError("bit string length must match label count")
-    amps = np.zeros(2 ** len(labels), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(amps, labels)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -1,6 +1,7 @@
 """CLI surface: option layering, subcommands, exit codes, file outputs."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -224,7 +225,7 @@ def test_flags_override_the_config_file_which_overrides_defaults(tmp_path, in_fi
         assert read(resolved) == expected, (key, in_file, as_flags)
 
 
-def test_config_file_rejects_unknown_and_malformed_keys(tmp_path):
+def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("groupz = 3\n")
     assert main(["run", "--config", str(bad)]) == EXIT_USAGE
@@ -235,6 +236,16 @@ def test_config_file_rejects_unknown_and_malformed_keys(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == EXIT_IO
     with pytest.raises(CliUsageError):
         parse_config_file("config = nested.cfg")
+    capsys.readouterr()
+    for line in ("adversary = type7", "format = xml", "check-fraction = half"):
+        bad.write_text(line + "\n")
+        assert main(["run", "--config", str(bad)]) == EXIT_USAGE, line
+        assert str(bad) in capsys.readouterr().err, line
+    # a value that looks like a flag is still a value
+    monkeypatch.chdir(tmp_path)
+    bad.write_text("out = -x.json\ngroups = 2\n")
+    assert main(["run", "--config", str(bad), "--seed", "1"]) == EXIT_OK
+    assert json.loads((tmp_path / "-x.json").read_text())["config"]["n_groups"] == 2
 
 
 def test_pair_states_parsing(tmp_path, capsys):
@@ -259,14 +270,16 @@ def test_entangler_needs_plain_channels():
     assert code == EXIT_USAGE
 
 
-def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+@pytest.mark.parametrize("fault", [ValueError, RuntimeError, KeyError], ids=lambda e: e.__name__)
+def test_internal_value_error_is_not_a_usage_error(fault, monkeypatch, capsys):
     def broken(*args, **kwargs):
-        raise ValueError("class table lost its mass")
+        raise fault("class table lost its mass")
 
     monkeypatch.setattr(cli, "monte_carlo", broken)
     code = main(["attack", "--adversary", "type2", "--groups", "1", "--trials", "5"])
     assert code == EXIT_INTERNAL
-    assert "class table lost its mass" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "class table lost its mass" in err and fault.__name__ in err
 
 
 def test_attack_json_and_csv(tmp_path, capsys):
@@ -380,3 +393,58 @@ def test_config_file_groups_above_the_bound_is_a_usage_error(tmp_path, capsys):
     config.write_text("groups = 1000000000\nadversary = type1\n")
     assert main(["attack", "--config", str(config), "--trials", "3"]) == EXIT_USAGE
     assert f"at most {cli.MAX_GROUPS}" in capsys.readouterr().err
+
+
+# sha256 of every file each command writes, and its stdout, recorded from the
+# CLI before the option/output code was consolidated; criterion 9 and
+# test_cli_byte_determinism only compare two runs of the same code
+PINNED_RUNS = {
+    "run": ["run", "--groups", "8", "--seed", "97", "--format", "both", "--out", "{out}/run.json"],
+    "attack": [
+        "attack", "--adversary", "type2", "--groups", "2", "--check-fraction", "1.0",
+        "--trials", "300", "--seed", "98", "--format", "both", "--out", "{out}/attack.json",
+    ],
+    "sweep": [
+        "sweep", "--adversary", "type3", "--groups", "4", "--check-fraction", "0.5",
+        "--trials", "200", "--seed", "99", "--out", "{out}/sweep",
+    ],
+}
+PINNED_FILES = {
+    "run": {
+        "run.csv": "83e8b28742014afd6a06d45ae7b18f856d5c117da96fd4ee2109a3315b1e657d",
+        "run.json": "20b3fd6749e0f9d1e0c9ecaa69121202c0d24345fbbefe80971bc073446e0551",
+    },
+    "attack": {
+        "attack.csv": "6cc61b65755ad083c27e50e78c52ce856795d118c6731597e10792bf1366a3f5",
+        "attack.json": "c10d0e6dbe6626f25c98c5e42f56d6799338128c9a0dc507f675d6ca37676403",
+    },
+    "sweep": {
+        "sweep/sweep.csv": "9457df3e700febb8484fd336aaf363dea802b01613f4be00b61b7c951896b260",
+        "sweep/type3_k1.json": "e4f31cf329b05f7f168b927f8aa68ef15bc99657cfddd4d76be2195920b126b1",
+        "sweep/type3_k2.json": "25b8a1c478ba9d756313c4d22bb5e92faf236c38c762c66602639f8cb034dd2a",
+    },
+}
+PINNED_STDOUT = {
+    "run": "run: verdict=accept key_bits=16 keys_equal=true adversary=none seed=97\n",
+    "attack": "attack: strategy=type2 trials=300 detection=0.756667 analytic=0.750000\n",
+    "sweep": (
+        "sweep: k=1 detection=0.720000 analytic=0.750000\n"
+        "sweep: k=2 detection=0.935000 analytic=0.937500\n"
+        "sweep: wrote {out}/sweep/sweep.csv and 2 point files\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+def test_cli_outputs_match_pinned_digests(command, tmp_path, capsys):
+    argv = [arg.format(out=tmp_path) for arg in PINNED_RUNS[command]]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == PINNED_STDOUT[command].format(out=tmp_path)
+    assert captured.err == ""
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert written == PINNED_FILES[command]

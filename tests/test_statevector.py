@@ -8,7 +8,6 @@ import pytest
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.statevector import (
     StateVector,
-    computational_state,
     identify_bell,
     make_bell,
     make_ghz3,
@@ -46,18 +45,6 @@ def test_ghz3_amplitudes():
     assert np.allclose(sv.amplitudes[1:7], 0.0)
 
 
-def test_computational_state_bit_order():
-    sv = computational_state("10", ("a", "b"))
-    # "10" means qubit a is 1, qubit b is 0: index 0b10 = 2
-    expected = np.zeros(4)
-    expected[2] = 1.0
-    assert np.allclose(sv.amplitudes, expected)
-    with pytest.raises(ValueError):
-        computational_state("102", ("a", "b", "c"))
-    with pytest.raises(ValueError):
-        computational_state("1", ("a", "b"))
-
-
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]), ("a", "b"))  # wrong length
@@ -66,7 +53,7 @@ def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0, 0.0]), ("a", "a"))  # duplicate labels
     with pytest.raises(ValueError):
-        computational_state("0" * 13, tuple(f"q{i}" for i in range(13)))  # too many qubits
+        StateVector(np.eye(1, 2**13)[0], tuple(f"q{i}" for i in range(13)))  # too many qubits
 
 
 def test_amplitudes_are_read_only():
@@ -141,7 +128,7 @@ def test_project_bell_collapses_remote_pair():
 
 
 def test_project_bell_rejects_impossible_outcome():
-    sv = computational_state("00", ("a", "b"))
+    sv = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), ("a", "b"))
     with pytest.raises(ValueError):
         project_bell(sv, "a", "b", BellIndex.PSI_PLUS)
 
@@ -149,7 +136,7 @@ def test_project_bell_rejects_impossible_outcome():
 def test_identify_bell_needs_near_certainty():
     assert identify_bell(make_bell(BellIndex.PSI_MINUS, "a", "b"), "a", "b") is BellIndex.PSI_MINUS
     # |00> splits 1/2 + 1/2 over phi+/phi-: no single outcome dominates
-    assert identify_bell(computational_state("00", ("a", "b")), "a", "b") is None
+    assert identify_bell(StateVector(np.array([1.0, 0.0, 0.0, 0.0]), ("a", "b")), "a", "b") is None
 
 
 def test_measure_bell_is_reproducible_and_consistent():
@@ -167,7 +154,7 @@ def test_measure_bell_is_reproducible_and_consistent():
 
 def test_zero_probability_outcomes_never_sampled():
     # |00> has no psi component: ordinals 2 and 3 must never appear
-    sv = computational_state("00", ("a", "b"))
+    sv = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), ("a", "b"))
     draws = sample_outcome_ordinals(sv, "a", "b", np.random.default_rng(7), 4000)
     assert set(np.unique(draws)) <= {0, 1}
     counts = np.bincount(draws, minlength=4)
