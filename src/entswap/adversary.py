@@ -12,8 +12,8 @@ Three attacks are modeled, plus the honest baseline:
   Alice and, separately, pairs with Bob, and swaps on her own halves.
 
 Each kind is one frozen :class:`Layout` in ``LAYOUTS``: the systems of a
-group, the pair Alice, Bob and Eve each measure, the stage at which Eve
-measures, whether the attack needs all-phi+ declared pairs, and Eve's guess
+group, the pair Alice, Bob and Eve each measure, the order in which they
+measure, whether the attack needs all-phi+ declared pairs, and Eve's guess
 rule.  Session simulation, the joint outcome tables of
 :mod:`entswap.stats` and the oracle self-check all read that one record, so
 a new attack is one new entry.  A session's :class:`AdversaryStrategy`
@@ -23,10 +23,11 @@ All adversary physics flows through the statevector oracle; no correlation
 table is hard-coded here, so the detection and guess probabilities the
 analysis layer reports are outputs of the simulation, not inputs.
 
-Measurement ordering is fixed: the entangler and the guesser measure after
-both parties ("after_bob"), the replacer measures between Alice and Bob
-("after_alice").  Outcome statistics do not depend on this order (the
-measurements act on disjoint qubits); a property test asserts as much.
+Measurement order is ``Layout.order``: the entangler and the guesser
+measure after both parties, the replacer between Alice and Bob.  Outcome
+statistics do not depend on where Eve stands (the measurements act on
+disjoint qubits); ``test_eve_position_leaves_the_joint_table_alone`` in
+``tests/test_layout.py`` moves her to the other side of Bob and asserts it.
 """
 
 from __future__ import annotations
@@ -48,16 +49,8 @@ PHI = BellIndex.PHI_PLUS
 # (system name, (qubit label, qubit label)) - one measurable pair.
 Target = tuple[str, tuple[str, str]]
 
-# Session stages at which Eve may measure, in session order.
-STAGES = ("after_alice", "after_bob")
-
-
 class UnsupportedAttackError(ValueError):
     """The attack is only defined for all-phi+ declared channel states."""
-
-
-class AdversaryOrderError(RuntimeError):
-    """Eve's measurements were driven out of their fixed order."""
 
 
 @dataclass
@@ -90,7 +83,6 @@ class AdversaryStrategy:
 
     kind: str
     by_group: list[tuple[BellIndex, ...]] = field(default_factory=list)
-    measured: bool = False
 
     def __post_init__(self) -> None:
         layout_of(self.kind)
@@ -102,10 +94,12 @@ class Layout:
 
     ``systems`` maps a group's declared pair states to its named physical
     systems; it is memoized per declared pair, and callers copy the dict
-    before collapsing states in it.  Eve measures her ``eve`` targets, in
-    order, at ``eve_stage``.  ``guess`` turns her outcomes for one group and
-    one fair coin into her guess of Alice's outcome; ``coin`` says whether
-    the rule reads the coin, so a session only draws one when it does.
+    before collapsing states in it.  ``order`` names the parties in the
+    order a session lets them measure; Eve measures her ``eve`` targets
+    group by group at her place in it.  ``guess`` turns her outcomes for
+    one group and one fair coin into her guess of Alice's outcome; ``coin``
+    says whether the rule reads the coin, so a session only draws one when
+    it does.
     """
 
     kind: str
@@ -113,7 +107,7 @@ class Layout:
     alice: Target
     bob: Target
     eve: tuple[Target, ...] = ()
-    eve_stage: str | None = None
+    order: tuple[str, ...] = ("alice", "bob")
     phi_only: bool = False
     guess: Callable[[tuple[BellIndex, ...], int], BellIndex] | None = None
     coin: bool = False
@@ -136,13 +130,15 @@ class Layout:
     def session_order(self) -> list[tuple[int, Target]]:
         """Every target as (slot, target), in the order a session measures them.
 
-        Slot 0 is Alice, slot 1 Bob and slots 2.. Eve's targets, which
-        follow the party her stage names.
+        Slot 0 is Alice, slot 1 Bob and slots 2.. Eve's targets, in her
+        layout's order.
         """
-        eve = [(2 + i, target) for i, target in enumerate(self.eve)]
-        before_bob = eve if self.eve_stage == "after_alice" else []
-        after_bob = eve if self.eve_stage == "after_bob" else []
-        return [(0, self.alice), *before_bob, (1, self.bob), *after_bob]
+        steps = {
+            "alice": [(0, self.alice)],
+            "bob": [(1, self.bob)],
+            "eve": [(2 + i, target) for i, target in enumerate(self.eve)],
+        }
+        return [step for party in self.order for step in steps[party]]
 
 
 def _bell_pairs(a: BellIndex, b: BellIndex, prime: str = "") -> StateVector:
@@ -165,7 +161,7 @@ LAYOUTS: dict[str, Layout] = {
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
             eve=(("eve", ("1p", "3p")),),
-            eve_stage="after_bob",
+            order=("alice", "bob", "eve"),
             # her private swap outcome is a uniform guess
             guess=lambda eve, coin: eve[0],
         ),
@@ -175,7 +171,7 @@ LAYOUTS: dict[str, Layout] = {
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
             eve=(("main", ("5", "6")),),
-            eve_stage="after_bob",
+            order=("alice", "bob", "eve"),
             phi_only=True,
             # her outcome fixes Alice's parity bit and the XOR of the two
             # phase bits, but not Alice's phase itself: the coin guesses it
@@ -192,7 +188,7 @@ LAYOUTS: dict[str, Layout] = {
             bob=("bob_side", ("2p", "4p")),
             # the pairs Bob will touch first, then Alice's partners
             eve=(("bob_side", ("1p", "3p")), ("alice_side", ("2", "4"))),
-            eve_stage="after_alice",
+            order=("alice", "eve", "bob"),
             phi_only=True,
             # her Alice-side halves are perfectly correlated with Alice's pair
             guess=lambda eve, coin: eve[1],
@@ -236,28 +232,14 @@ def corrupt_channels(
 def eve_measure(
     strategy: AdversaryStrategy,
     channels: Sequence[GroupChannels],
-    stage: str,
     rng: np.random.Generator,
 ) -> None:
-    """Run Eve's measurements for the given stage of the session.
+    """Measure Eve's targets group by group, recording them in ``by_group``.
 
-    ``stage`` is "after_alice" or "after_bob".  Each strategy acts at its
-    layout's stage and records outcomes in its own state; acting twice, or
-    reaching a later stage without having measured, is an ordering error.
+    A session calls this once, at Eve's place in her layout's ``order``.
     """
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-    layout = LAYOUTS[strategy.kind]
-    if layout.eve_stage is None:
-        return
-    if stage == layout.eve_stage:
-        if strategy.measured:
-            raise AdversaryOrderError(f"{strategy.kind} already measured")
-        for ch in channels:
-            strategy.by_group.append(tuple(ch.measure(target, rng) for target in ch.eve))
-        strategy.measured = True
-    elif STAGES.index(stage) > STAGES.index(layout.eve_stage) and not strategy.measured:
-        raise AdversaryOrderError(f"{strategy.kind} must measure {layout.eve_stage}, before {stage}")
+    for ch in channels:
+        strategy.by_group.append(tuple(ch.measure(target, rng) for target in ch.eve))
 
 
 @dataclass(frozen=True)
@@ -296,17 +278,15 @@ def eve_guess_key(
     layout = LAYOUTS[strategy.kind]
     if layout.guess is None:
         return None
-    if not strategy.measured:
-        raise AdversaryOrderError(f"{strategy.kind} must measure before guessing")
     guessed_fragments: list[str] = []
     correct: list[bool] = []
     for g in groups:
         coin = int(rng.integers(0, 2)) if layout.coin else 0
         guess = layout.guess(strategy.by_group[g.group_index], coin)
         partner = swap_partner(g.pair_a_state, g.pair_b_state, guess)
-        bits = group_key_fragment(guess, partner, g.group_index).bits
+        bits = group_key_fragment(guess, partner)
         guessed_fragments.append(bits)
-        correct.append(bits == g.alice_fragment.bits)
+        correct.append(bits == g.alice_fragment)
     guessed_key = "".join(
         bits for bits, g in zip(guessed_fragments, groups) if not g.checked
     )

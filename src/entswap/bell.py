@@ -10,7 +10,6 @@ table rather than arithmetic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class BellIndex(enum.Enum):
@@ -107,22 +106,6 @@ def encode_bits(b: BellIndex) -> str:
     return _ENCODE[b]
 
 
-@dataclass(frozen=True)
-class KeyFragment:
-    """The four key bits one group contributes: Alice's outcome first."""
-
-    bits: str
-    group_index: int
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != 4 or set(self.bits) - {"0", "1"}:
-            raise ValueError(f"fragment must be 4 bits, got {self.bits!r}")
-        if self.group_index < 0:
-            raise ValueError("group_index must be non-negative")
-
-
-def group_key_fragment(
-    alice_outcome: BellIndex, bob_outcome: BellIndex, group_index: int
-) -> KeyFragment:
-    """Assemble a group's key fragment, Alice's outcome encoded first."""
-    return KeyFragment(encode_bits(alice_outcome) + encode_bits(bob_outcome), group_index)
+def group_key_fragment(alice_outcome: BellIndex, bob_outcome: BellIndex) -> str:
+    """The four key bits one group contributes, Alice's outcome encoded first."""
+    return encode_bits(alice_outcome) + encode_bits(bob_outcome)

@@ -83,7 +83,7 @@ class CliConfig:
 
 @lru_cache(maxsize=None)
 def _options_parser() -> argparse.ArgumentParser:
-    """The options every subcommand shares, built once.  It also types and
+    """The options run, attack and sweep share, built once.  It also types and
     checks the config file's values, so it raises instead of exiting."""
     shared = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     shared.add_argument(
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", parents=shared, help="run one session end to end")
     sub.add_parser("attack", parents=shared, help="Monte Carlo batch for one adversary")
     sub.add_parser("sweep", parents=shared, help="batches over k = 1..k_checked")
-    sub.add_parser("oracle-check", parents=shared, help="simulator self-checks")
+    sub.add_parser("oracle-check", help="simulator self-checks")
     return parser
 
 
@@ -146,14 +146,14 @@ def parse_config_file(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliUsageError(f"config line {lineno}: expected 'key = value', got {line!r}")
+            raise CliUsageError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _DEFAULTS:
-            raise CliUsageError(f"config line {lineno}: unknown key {key!r}")
+            raise CliUsageError(f"line {lineno}: unknown key {key!r}")
         if not value:
-            raise CliUsageError(f"config line {lineno}: empty value for {key!r}")
+            raise CliUsageError(f"line {lineno}: empty value for {key!r}")
         values[key] = value
     return values
 
@@ -165,11 +165,11 @@ def _config_values(path: str) -> argparse.Namespace:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise CliUsageError(f"config file {path} is not UTF-8 text") from exc
-    # the "=" form keeps a value such as "-x.json" a value
-    tokens = [f"--{key}={value}" for key, value in parse_config_file(text).items()]
     try:
+        # the "=" form keeps a value such as "-x.json" a value
+        tokens = [f"--{key}={value}" for key, value in parse_config_file(text).items()]
         return _options_parser().parse_args(tokens)
-    except argparse.ArgumentError as exc:
+    except (CliUsageError, argparse.ArgumentError) as exc:
         raise CliUsageError(f"config file {path}: {exc}") from exc
 
 
@@ -402,7 +402,7 @@ def oracle_check_rows() -> list[tuple[str, bool, str]]:
     ]
 
 
-def cmd_oracle_check(options: CliConfig) -> int:
+def cmd_oracle_check() -> int:
     rows = oracle_check_rows()
     width = max(len(name) for name, _, _ in rows)
     all_ok = True
@@ -413,20 +413,16 @@ def cmd_oracle_check(options: CliConfig) -> int:
     return EXIT_OK if all_ok else EXIT_ORACLE
 
 
-_DISPATCH = {
-    "run": cmd_run,
-    "attack": cmd_attack,
-    "sweep": cmd_sweep,
-    "oracle-check": cmd_oracle_check,
-}
+_DISPATCH = {"run": cmd_run, "attack": cmd_attack, "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        options = resolve_options(args)
-        return _DISPATCH[args.command](options)
+        if args.command == "oracle-check":  # takes no options
+            return cmd_oracle_check()
+        return _DISPATCH[args.command](resolve_options(args))
     except (CliUsageError, UnsupportedAttackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,10 @@ publishes the fragments of a random subset of groups; Alice compares and
 accepts or aborts.  Checked groups are discarded from the final key since
 their bits crossed the public channel.
 
+:func:`run_session` is one straight pass over those steps.  Who measures
+when is the attack's ``adversary.Layout.order``, so an eavesdropper's
+measurements fall between or after the parties' as her layout places them.
+
 The classical channel is an ordered, reliable, authenticated-but-readable
 message list: an eavesdropper sees every message but cannot forge one.
 
@@ -20,25 +24,21 @@ function of (config, adversary kind, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
 
 from .adversary import (
+    LAYOUTS,
     AdversaryStrategy,
     EveReport,
-    GroupChannels,
     corrupt_channels,
     eve_guess_key,
     eve_measure,
     make_strategy,
 )
-from .bell import BELL_ORDER, BellIndex, KeyFragment, group_key_fragment, swap_partner
-
-
-class ProtocolOrderError(RuntimeError):
-    """A protocol step ran before its prerequisites."""
+from .bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class GroupRecord:
     pair_b_state: BellIndex
     alice_outcome: BellIndex | None = None
     bob_outcome: BellIndex | None = None
-    alice_fragment: KeyFragment | None = None
-    bob_fragment: KeyFragment | None = None
+    alice_fragment: str | None = None
+    bob_fragment: str | None = None
     checked: bool = False
 
     def to_json_dict(self) -> dict:
@@ -145,8 +145,8 @@ class GroupRecord:
             "pair_b_state": str(self.pair_b_state),
             "alice_outcome": str(self.alice_outcome) if self.alice_outcome else None,
             "bob_outcome": str(self.bob_outcome) if self.bob_outcome else None,
-            "alice_fragment": self.alice_fragment.bits if self.alice_fragment else None,
-            "bob_fragment": self.bob_fragment.bits if self.bob_fragment else None,
+            "alice_fragment": self.alice_fragment,
+            "bob_fragment": self.bob_fragment,
             "checked": self.checked,
         }
 
@@ -205,23 +205,6 @@ ClassicalMessage = Union[MeasuredAnnouncement, CheckRequest, VerdictMessage]
 
 
 @dataclass
-class SessionState:
-    """Everything one running session owns; mutated in place by the steps."""
-
-    config: SessionConfig
-    adversary: AdversaryStrategy
-    groups: list[GroupRecord]
-    channels: list[GroupChannels]
-    honest_rng: np.random.Generator
-    eve_rng: np.random.Generator
-    transcript: list[ClassicalMessage] = field(default_factory=list)
-    alice_measured: bool = False
-    bob_measured: bool = False
-    checks_selected: bool = False
-    verdict_issued: bool = False
-
-
-@dataclass
 class SessionReport:
     """Final session outcome plus the full wire transcript."""
 
@@ -256,109 +239,65 @@ class SessionReport:
         }
 
 
-def setup_session(
+def run_session(
     config: SessionConfig,
     adversary: AdversaryStrategy | None = None,
     seed_seq: np.random.SeedSequence | None = None,
-) -> SessionState:
-    """Create the pair registry and materialize physical states per group.
+) -> SessionReport:
+    """One full session: measurements in layout order, checking, verdict, key.
 
     The parties record the DECLARED pair states; whatever the adversary
-    actually put on the channel lives only in the group channels.
+    actually put on the channel lives only in the group channels.  The
+    honest stream draws every Alice outcome, then every Bob outcome, then
+    the checked subset; Eve's stream draws her outcomes, then her coins.
     """
     adversary = adversary if adversary is not None else make_strategy("none")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     honest_ss, eve_ss = seed_seq.spawn(2)
+    honest_rng, eve_rng = np.random.default_rng(honest_ss), np.random.default_rng(eve_ss)
     declared = declared_pair_states(config)
-    pairs = [(declared[2 * i], declared[2 * i + 1]) for i in range(config.n_groups)]
+    pairs = list(zip(declared[0::2], declared[1::2]))
     groups = [GroupRecord(i, a, b) for i, (a, b) in enumerate(pairs)]
-    return SessionState(
-        config=config,
-        adversary=adversary,
-        groups=groups,
-        channels=corrupt_channels(adversary, pairs),
-        honest_rng=np.random.default_rng(honest_ss),
-        eve_rng=np.random.default_rng(eve_ss),
-    )
+    channels = corrupt_channels(adversary, pairs)
+    transcript: list[ClassicalMessage] = []
 
+    for party in LAYOUTS[adversary.kind].order:
+        if party == "eve":
+            eve_measure(adversary, channels, eve_rng)
+        elif party == "alice":
+            # steps 1-3: swap, infer Bob's outcome, announce only the fact
+            for g, ch in zip(groups, channels):
+                outcome = ch.measure(ch.alice, honest_rng)
+                g.alice_outcome = outcome
+                g.alice_fragment = group_key_fragment(
+                    outcome, swap_partner(g.pair_a_state, g.pair_b_state, outcome)
+                )
+            transcript.append(MeasuredAnnouncement(n_groups=config.n_groups))
+        else:
+            # step 4: Bob mirrors her and infers Alice's outcome
+            for g, ch in zip(groups, channels):
+                outcome = ch.measure(ch.bob, honest_rng)
+                g.bob_outcome = outcome
+                g.bob_fragment = group_key_fragment(
+                    swap_partner(g.pair_a_state, g.pair_b_state, outcome), outcome
+                )
 
-def alice_measure(state: SessionState) -> MeasuredAnnouncement:
-    """Step 1-3: Alice swaps every group, stores her fragment, announces."""
-    if state.alice_measured:
-        raise ProtocolOrderError("Alice already measured")
-    for g, ch in zip(state.groups, state.channels):
-        outcome = ch.measure(ch.alice, state.honest_rng)
-        inferred_bob = swap_partner(g.pair_a_state, g.pair_b_state, outcome)
-        g.alice_outcome = outcome
-        g.alice_fragment = group_key_fragment(outcome, inferred_bob, g.group_index)
-    state.alice_measured = True
-    announcement = MeasuredAnnouncement(n_groups=state.config.n_groups)
-    state.transcript.append(announcement)
-    return announcement
-
-
-def bob_measure(state: SessionState, announcement: MeasuredAnnouncement) -> None:
-    """Step 4: Bob swaps his qubits and infers Alice's outcomes."""
-    if not state.alice_measured:
-        raise ProtocolOrderError("Bob cannot measure before Alice's announcement")
-    if announcement.n_groups != state.config.n_groups:
-        raise ProtocolOrderError("announcement does not match this session")
-    if state.bob_measured:
-        raise ProtocolOrderError("Bob already measured")
-    for g, ch in zip(state.groups, state.channels):
-        outcome = ch.measure(ch.bob, state.honest_rng)
-        inferred_alice = swap_partner(g.pair_a_state, g.pair_b_state, outcome)
-        g.bob_outcome = outcome
-        g.bob_fragment = group_key_fragment(inferred_alice, outcome, g.group_index)
-    state.bob_measured = True
-
-
-def bob_select_checks(state: SessionState) -> CheckRequest:
-    """Step 5a: Bob publishes the fragments of a random subset of groups."""
-    if not (state.alice_measured and state.bob_measured):
-        raise ProtocolOrderError("check selection requires both parties measured")
-    if state.checks_selected:
-        raise ProtocolOrderError("checks already selected")
-    n = state.config.n_groups
-    picked = state.honest_rng.choice(n, size=state.config.k_checked, replace=False)
+    # step 5: Bob publishes a random subset of fragments, Alice compares
+    picked = honest_rng.choice(config.n_groups, size=config.k_checked, replace=False)
     indices = tuple(sorted(int(i) for i in picked))
     for i in indices:
-        state.groups[i].checked = True
-    request = CheckRequest(
-        indices=indices,
-        fragments=tuple(state.groups[i].bob_fragment.bits for i in indices),
+        groups[i].checked = True
+    request = CheckRequest(indices=indices, fragments=tuple(groups[i].bob_fragment for i in indices))
+    mismatched = tuple(
+        i for i, bits in zip(request.indices, request.fragments) if groups[i].alice_fragment != bits
     )
-    state.checks_selected = True
-    state.transcript.append(request)
-    return request
+    verdict = VerdictMessage(accept=not mismatched, mismatched=mismatched)
+    transcript += [request, verdict]
 
-
-def alice_verify(state: SessionState, request: CheckRequest) -> VerdictMessage:
-    """Step 5b: Alice compares Bob's published fragments with her own."""
-    if not state.checks_selected:
-        raise ProtocolOrderError("no check request to verify")
-    if state.verdict_issued:
-        raise ProtocolOrderError("verdict already issued")
-    mismatched = []
-    for i, bits in zip(request.indices, request.fragments):
-        if not 0 <= i < state.config.n_groups:
-            raise ProtocolOrderError(f"check index {i} out of range")
-        if state.groups[i].alice_fragment.bits != bits:
-            mismatched.append(i)
-    verdict = VerdictMessage(accept=not mismatched, mismatched=tuple(mismatched))
-    state.verdict_issued = True
-    state.transcript.append(verdict)
-    return verdict
-
-
-def finalize_key(state: SessionState, verdict: VerdictMessage) -> SessionReport:
-    """Assemble the report; on accept the key is the unchecked fragments."""
-    if not state.verdict_issued:
-        raise ProtocolOrderError("cannot finalize before the verdict")
     if verdict.accept:
-        alice_key = "".join(g.alice_fragment.bits for g in state.groups if not g.checked)
-        bob_key = "".join(g.bob_fragment.bits for g in state.groups if not g.checked)
+        alice_key = "".join(g.alice_fragment for g in groups if not g.checked)
+        bob_key = "".join(g.bob_fragment for g in groups if not g.checked)
     else:
         alice_key = bob_key = ""
     return SessionReport(
@@ -366,27 +305,10 @@ def finalize_key(state: SessionState, verdict: VerdictMessage) -> SessionReport:
         alice_key=alice_key,
         bob_key=bob_key,
         keys_equal=alice_key == bob_key,
-        mismatched_groups=verdict.mismatched,
-        groups=state.groups,
-        transcript=state.transcript,
-        config=state.config,
-        adversary_kind=state.adversary.kind,
+        mismatched_groups=mismatched,
+        groups=groups,
+        transcript=transcript,
+        config=config,
+        adversary_kind=adversary.kind,
+        eve=eve_guess_key(adversary, groups, eve_rng),
     )
-
-
-def run_session(
-    config: SessionConfig,
-    adversary: AdversaryStrategy | None = None,
-    seed_seq: np.random.SeedSequence | None = None,
-) -> SessionReport:
-    """One full session: setup, measurements, checking, verdict, key."""
-    state = setup_session(config, adversary, seed_seq)
-    announcement = alice_measure(state)
-    eve_measure(state.adversary, state.channels, "after_alice", state.eve_rng)
-    bob_measure(state, announcement)
-    eve_measure(state.adversary, state.channels, "after_bob", state.eve_rng)
-    request = bob_select_checks(state)
-    verdict = alice_verify(state, request)
-    report = finalize_key(state, verdict)
-    report.eve = eve_guess_key(state.adversary, state.groups, state.eve_rng)
-    return report

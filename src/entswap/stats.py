@@ -307,7 +307,7 @@ def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int)
         report = run_session(config, make_strategy(kind), ss)
         if report.verdict == "abort":
             detections += 1
-        if all(g.alice_fragment.bits == g.bob_fragment.bits for g in report.groups):
+        if all(g.alice_fragment == g.bob_fragment for g in report.groups):
             agreements += 1
         if report.eve is not None and report.eve.full_key_correct:
             eve_hits += 1

@@ -146,7 +146,7 @@ def test_criterion_5_entangler_conditional_structure():
     rng = np.random.default_rng(60_603)
     alice = [ch.measure(ch.alice, rng) for ch in channels]
     bob = [ch.measure(ch.bob, rng) for ch in channels]
-    eve_measure(strategy, channels, "after_bob", rng)
+    eve_measure(strategy, channels, rng)
     eve = [e for (e,) in strategy.by_group]
 
     paired = sum(

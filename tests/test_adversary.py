@@ -1,10 +1,9 @@
-"""Adversary strategies: channel corruption, measurement stages, guessing."""
+"""Adversary strategies: channel corruption, Eve's measurements, guessing."""
 
 import numpy as np
 import pytest
 
 from entswap.adversary import (
-    AdversaryOrderError,
     AdversaryStrategy,
     STRATEGY_KINDS,
     UnsupportedAttackError,
@@ -83,41 +82,13 @@ def test_channel_measure_collapses_system():
     assert identify_bell(ch.systems["main"], "1", "3") is outcome
 
 
-def test_eve_measure_stage_rules_guesser_and_entangler():
-    for kind in ("type1", "type2"):
-        strategy = make_strategy(kind)
-        channels = corrupt_channels(strategy, ALL_PHI * 3)
-        rng = np.random.default_rng(2)
-        eve_measure(strategy, channels, "after_alice", rng)  # no-op for these
-        assert strategy.by_group == [] and not strategy.measured
-        eve_measure(strategy, channels, "after_bob", rng)
-        assert len(strategy.by_group) == 3 and strategy.measured
-        with pytest.raises(AdversaryOrderError):
-            eve_measure(strategy, channels, "after_bob", rng)
-
-
-def test_eve_measure_stage_rules_replacer():
-    strategy = make_strategy("type3")
-    channels = corrupt_channels(strategy, ALL_PHI * 2)
-    rng = np.random.default_rng(3)
-    with pytest.raises(AdversaryOrderError):
-        eve_measure(strategy, channels, "after_bob", rng)
-    eve_measure(strategy, channels, "after_alice", rng)
-    assert [len(eve) for eve in strategy.by_group] == [2, 2]
-    eve_measure(strategy, channels, "after_bob", rng)  # fine once measured
-    with pytest.raises(AdversaryOrderError):
-        eve_measure(strategy, channels, "after_alice", rng)
-    with pytest.raises(ValueError):
-        eve_measure(strategy, channels, "during_lunch", rng)
-
-
 def test_noeve_measure_is_inert():
     strategy = make_strategy("none")
     channels = corrupt_channels(strategy, ALL_PHI)
     before = channels[0].systems["main"].amplitudes.copy()
-    eve_measure(strategy, channels, "after_alice", np.random.default_rng(0))
-    eve_measure(strategy, channels, "after_bob", np.random.default_rng(0))
+    eve_measure(strategy, channels, np.random.default_rng(0))
     assert np.array_equal(channels[0].systems["main"].amplitudes, before)
+    assert eve_guess_key(strategy, [], np.random.default_rng(0)) is None
 
 
 def test_entangler_outcomes_are_term_paired():
@@ -129,7 +100,7 @@ def test_entangler_outcomes_are_term_paired():
     rng = np.random.default_rng(11)
     alice = [ch.measure(ch.alice, rng) for ch in channels]
     bob = [ch.measure(ch.bob, rng) for ch in channels]
-    eve_measure(strategy, channels, "after_bob", rng)
+    eve_measure(strategy, channels, rng)
     for a, b, (e,) in zip(alice, bob, strategy.by_group):
         assert b.parity == a.parity
         assert e is BellIndex((a.phase ^ b.phase, a.parity))
@@ -144,7 +115,7 @@ def test_replacer_learns_alice_exactly_and_steers_bob():
     channels = corrupt_channels(strategy, ALL_PHI * n)
     rng = np.random.default_rng(12)
     alice = [ch.measure(ch.alice, rng) for ch in channels]
-    eve_measure(strategy, channels, "after_alice", rng)
+    eve_measure(strategy, channels, rng)
     bob = [ch.measure(ch.bob, rng) for ch in channels]
     for a, b, (bob_facing, alice_facing) in zip(alice, bob, strategy.by_group):
         # her alice-facing halves replay alice's outcome verbatim
@@ -161,13 +132,6 @@ def test_guesser_success_rate_is_about_one_quarter():
     hits = sum(report.eve.per_group_correct)
     # 5 sigma around 100 of 400
     assert abs(hits - 100) < 5 * np.sqrt(400 * 0.25 * 0.75)
-
-
-def test_eve_guess_key_requires_measurement():
-    for kind in ("type1", "type2", "type3"):
-        with pytest.raises(AdversaryOrderError):
-            eve_guess_key(make_strategy(kind), [], np.random.default_rng(0))
-    assert eve_guess_key(make_strategy("none"), [], np.random.default_rng(0)) is None
 
 
 def test_eve_report_shapes_and_key_alignment():

@@ -5,7 +5,6 @@ import pytest
 from entswap.bell import (
     BELL_ORDER,
     BellIndex,
-    KeyFragment,
     bell_by_name,
     bell_xor,
     encode_bits,
@@ -100,19 +99,6 @@ def test_codebook_round_trip():
     assert codewords == {"00", "01", "10", "11"}
 
 
-def test_key_fragment_validation():
-    KeyFragment(bits="0110", group_index=0)
-    with pytest.raises(ValueError):
-        KeyFragment(bits="011", group_index=0)
-    with pytest.raises(ValueError):
-        KeyFragment(bits="01a0", group_index=0)
-    with pytest.raises(ValueError):
-        KeyFragment(bits="0110", group_index=-1)
-
-
 def test_group_key_fragment_orders_alice_first():
-    frag = group_key_fragment(BellIndex.PSI_PLUS, BellIndex.PHI_MINUS, 3)
-    assert frag.bits == "1011"
-    assert frag.group_index == 3
-    frag = group_key_fragment(BellIndex.PHI_PLUS, BellIndex.PSI_MINUS, 0)
-    assert frag.bits == "0001"
+    assert group_key_fragment(BellIndex.PSI_PLUS, BellIndex.PHI_MINUS) == "1011"
+    assert group_key_fragment(BellIndex.PHI_PLUS, BellIndex.PSI_MINUS) == "0001"

@@ -237,7 +237,14 @@ def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, monkeypatch, c
     with pytest.raises(CliUsageError):
         parse_config_file("config = nested.cfg")
     capsys.readouterr()
-    for line in ("adversary = type7", "format = xml", "check-fraction = half"):
+    for line in (
+        "adversary = type7",
+        "format = xml",
+        "check-fraction = half",
+        "groupz = 3",
+        "just some words",
+        "groups =",
+    ):
         bad.write_text(line + "\n")
         assert main(["run", "--config", str(bad)]) == EXIT_USAGE, line
         assert str(bad) in capsys.readouterr().err, line
@@ -356,6 +363,16 @@ def test_oracle_check_passes(capsys):
     assert "all checks passed" in out
     assert out.count("PASS") == len(oracle_check_rows())
     assert "FAIL" not in out
+
+
+def test_oracle_check_takes_no_options(monkeypatch, capsys):
+    # it reads no seed, so a bad ENTSWAP_SEED is none of its business
+    monkeypatch.setenv("ENTSWAP_SEED", "x")
+    assert main(["oracle-check"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--groups", "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --groups 0" in capsys.readouterr().err
 
 
 def test_oracle_check_rows_all_pass():

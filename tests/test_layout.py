@@ -1,5 +1,7 @@
 """Per-attack layouts and the joint outcome tables built from them."""
 
+import dataclasses
+
 import pytest
 
 from entswap.adversary import LAYOUTS, STRATEGY_KINDS, make_strategy
@@ -86,6 +88,26 @@ def test_analytic_rates_match_the_cell_walk(kind):
         assert per_group_eve_success(kind) is None
     else:
         assert abs(per_group_eve_success(kind) - guessed) <= 1e-12
+
+
+# each attack's order with Eve moved to the other side of Bob
+EVE_ELSEWHERE = {
+    "type1": ("alice", "eve", "bob"),
+    "type2": ("alice", "eve", "bob"),
+    "type3": ("alice", "bob", "eve"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVE_ELSEWHERE))
+def test_eve_position_leaves_the_joint_table_alone(kind, monkeypatch):
+    # Eve and Bob measure disjoint qubits, so their order cannot change the law
+    expected = joint_table(kind)  # cached under the real layout before the swap
+    layout = LAYOUTS[kind]
+    assert layout.order != EVE_ELSEWHERE[kind]
+    monkeypatch.setitem(LAYOUTS, kind, dataclasses.replace(layout, order=EVE_ELSEWHERE[kind]))
+    moved = joint_table.__wrapped__(kind)
+    assert set(moved) == set(expected)
+    assert all(abs(moved[cell] - p) <= 1e-12 for cell, p in expected.items())
 
 
 def test_unknown_kind_raises():
