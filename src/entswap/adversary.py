@@ -16,8 +16,9 @@ group, the pair Alice, Bob and Eve each measure, the order in which they
 measure, whether the attack needs all-phi+ declared pairs, and Eve's guess
 rule.  Session simulation, the joint outcome tables of
 :mod:`entswap.stats` and the oracle self-check all read that one record, so
-a new attack is one new entry.  A session's :class:`AdversaryStrategy`
-only names its kind and collects Eve's outcomes.
+a new attack is one new entry.  A session's adversary is its kind's
+layout: a group's channels are a plain dict of its named systems, and
+:func:`eve_measure` returns Eve's outcomes rather than storing them.
 
 All adversary physics flows through the statevector oracle; no correlation
 table is hard-coded here, so the detection and guess probabilities the
@@ -32,7 +33,7 @@ disjoint qubits); ``test_eve_position_leaves_the_joint_table_alone`` in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -51,41 +52,6 @@ Target = tuple[str, tuple[str, str]]
 
 class UnsupportedAttackError(ValueError):
     """The attack is only defined for all-phi+ declared channel states."""
-
-
-@dataclass
-class GroupChannels:
-    """Physical systems of one group and who measures which pair where.
-
-    The honest parties only ever see their own targets; the layout itself
-    (which may differ from the declared pair states) stays in here.
-    """
-
-    systems: dict[str, StateVector]
-    alice: Target
-    bob: Target
-    eve: tuple[Target, ...] = ()
-
-    def measure(self, target: Target, rng: np.random.Generator) -> BellIndex:
-        name, (qi, qj) = target
-        record, collapsed = measure_bell(self.systems[name], qi, qj, rng)
-        self.systems[name] = collapsed
-        return record.outcome
-
-
-@dataclass
-class AdversaryStrategy:
-    """Per-session adversary state for one kind in ``LAYOUTS``.
-
-    ``by_group`` holds Eve's outcomes, one tuple per group in the order of
-    her layout's targets.
-    """
-
-    kind: str
-    by_group: list[tuple[BellIndex, ...]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        layout_of(self.kind)
 
 
 @dataclass(frozen=True)
@@ -207,39 +173,41 @@ def layout_of(kind: str) -> Layout:
         raise ValueError(f"unknown adversary kind {kind!r}; expected one of {STRATEGY_KINDS}") from None
 
 
-def make_strategy(kind: str) -> AdversaryStrategy:
-    """Fresh per-session strategy state for a wire-format kind tag."""
-    return AdversaryStrategy(kind)
+# the public name: a session's adversary is its kind's layout
+make_strategy = layout_of
 
 
 def corrupt_channels(
-    strategy: AdversaryStrategy,
+    layout: Layout,
     declared: Sequence[tuple[BellIndex, BellIndex]],
-) -> list[GroupChannels]:
-    """Materialize each group's physical systems under the given strategy.
+) -> list[dict[str, StateVector]]:
+    """Materialize each group's physical systems under the given layout.
 
     ``declared`` holds the per-group pair states the honest parties believe
     in.  With no adversary (and for the independent guesser, who leaves the
-    channel alone) the physical state is exactly the declared tensor.
+    channel alone) the physical state is exactly the declared tensor.  Each
+    group gets its own dict, which :func:`measure` collapses in place.
     """
-    layout = LAYOUTS[strategy.kind]
-    return [
-        GroupChannels(dict(layout.declared_systems(a, b)), layout.alice, layout.bob, layout.eve)
-        for a, b in declared
-    ]
+    return [dict(layout.declared_systems(a, b)) for a, b in declared]
+
+
+def measure(systems: dict[str, StateVector], target: Target, rng: np.random.Generator) -> BellIndex:
+    """Bell-measure one target pair of a group, collapsing its system in place."""
+    name, (qi, qj) = target
+    record, systems[name] = measure_bell(systems[name], qi, qj, rng)
+    return record.outcome
 
 
 def eve_measure(
-    strategy: AdversaryStrategy,
-    channels: Sequence[GroupChannels],
+    layout: Layout,
+    channels: Sequence[dict[str, StateVector]],
     rng: np.random.Generator,
-) -> None:
-    """Measure Eve's targets group by group, recording them in ``by_group``.
+) -> list[tuple[BellIndex, ...]]:
+    """Eve's outcomes, one tuple per group in the order of her ``eve`` targets.
 
     A session calls this once, at Eve's place in her layout's ``order``.
     """
-    for ch in channels:
-        strategy.by_group.append(tuple(ch.measure(target, rng) for target in ch.eve))
+    return [tuple(measure(systems, target, rng) for target in layout.eve) for systems in channels]
 
 
 @dataclass(frozen=True)
@@ -265,33 +233,28 @@ class EveReport:
 
 
 def eve_guess_key(
-    strategy: AdversaryStrategy,
+    layout: Layout,
+    outcomes: Sequence[tuple[BellIndex, ...]],
     groups: Sequence["GroupRecord"],
     rng: np.random.Generator,
 ) -> EveReport | None:
     """Derive Eve's key guess from her outcomes and the public transcript.
 
-    She legitimately knows the declared pair states, and which groups were
-    checked (both are public); Alice's actual fragments are used only to
-    score her guesses.
+    ``outcomes`` is what :func:`eve_measure` returned, aligned with
+    ``groups``.  She legitimately knows the declared pair states, and which
+    groups were checked (both are public); Alice's actual fragments are
+    used only to score her guesses.
     """
-    layout = LAYOUTS[strategy.kind]
     if layout.guess is None:
         return None
-    guessed_fragments: list[str] = []
-    correct: list[bool] = []
-    for g in groups:
+    fragments: list[str] = []
+    for g, eve in zip(groups, outcomes, strict=True):
         coin = int(rng.integers(0, 2)) if layout.coin else 0
-        guess = layout.guess(strategy.by_group[g.group_index], coin)
-        partner = swap_partner(g.pair_a_state, g.pair_b_state, guess)
-        bits = group_key_fragment(guess, partner)
-        guessed_fragments.append(bits)
-        correct.append(bits == g.alice_fragment)
-    guessed_key = "".join(
-        bits for bits, g in zip(guessed_fragments, groups) if not g.checked
-    )
+        guess = layout.guess(eve, coin)
+        fragments.append(group_key_fragment(guess, swap_partner(g.pair_a_state, g.pair_b_state, guess)))
+    correct = tuple(bits == g.alice_fragment for bits, g in zip(fragments, groups))
     return EveReport(
-        guessed_key=guessed_key,
+        guessed_key="".join(bits for bits, g in zip(fragments, groups) if not g.checked),
         full_key_correct=all(correct),
-        per_group_correct=tuple(correct),
+        per_group_correct=correct,
     )

@@ -2,68 +2,69 @@
 
 The four states form a Klein four-group under component-wise XOR of their
 (phase, parity) bits, and entanglement swapping is literally that XOR: the
-unmeasured pair lands in ``init_a XOR init_b XOR measured``.  The classical
-wire encoding is NOT linear in these bits, so the codec is a fixed lookup
-table rather than arithmetic.
+unmeasured pair lands in ``init_a XOR init_b XOR measured``.  Each state is
+its 2-bit ordinal ``phase | parity << 1``, so the group law is integer
+``^``.  The classical wire encoding is NOT linear in these bits, so the
+codec is a fixed lookup table rather than arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 
+# (phase, parity) of each ordinal
+_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-class BellIndex(enum.Enum):
-    """One of the four Bell states, as a (phase, parity) bit pair.
+
+class BellIndex(enum.IntEnum):
+    """One of the four Bell states, valued by its canonical ordinal.
 
     phase: 0 for the "+" superposition sign, 1 for "-".
     parity: 0 for the correlated |00>/|11> family (phi), 1 for the
         anti-correlated |01>/|10> family (psi).
 
-    Definition order (phi+, phi-, psi+, psi-) is the canonical order used
-    wherever a distribution over outcomes is indexed or sampled.
+    The value is ``phase | parity << 1``, so definition order (phi+, phi-,
+    psi+, psi-) is the canonical order used wherever a distribution over
+    outcomes is indexed or sampled.  ``BellIndex((phase, parity))`` builds
+    a state from its bits.
     """
 
-    PHI_PLUS = (0, 0)
-    PHI_MINUS = (1, 0)
-    PSI_PLUS = (0, 1)
-    PSI_MINUS = (1, 1)
+    PHI_PLUS = 0
+    PHI_MINUS = 1
+    PSI_PLUS = 2
+    PSI_MINUS = 3
+
+    @classmethod
+    def _missing_(cls, bits):
+        return cls(_BITS.index(bits)) if bits in _BITS else None
 
     @property
     def phase(self) -> int:
-        return self.value[0]
+        return self & 1
 
     @property
     def parity(self) -> int:
-        return self.value[1]
+        return self >> 1
 
     @property
     def ordinal(self) -> int:
         """Position in the canonical (phi+, phi-, psi+, psi-) order."""
-        return _ORDINALS[self]
+        return int(self)
 
     def __str__(self) -> str:
         return _NAMES[self]
 
+    # an IntEnum formats as its int; f-strings print the report name
+    __format__ = enum.Enum.__format__
+
 
 BELL_ORDER: tuple[BellIndex, ...] = tuple(BellIndex)
 
-_ORDINALS = {b: i for i, b in enumerate(BELL_ORDER)}
-
-_NAMES = {
-    BellIndex.PHI_PLUS: "phi+",
-    BellIndex.PHI_MINUS: "phi-",
-    BellIndex.PSI_PLUS: "psi+",
-    BellIndex.PSI_MINUS: "psi-",
-}
-_BY_NAME = {name: b for b, name in _NAMES.items()}
+_NAMES = ("phi+", "phi-", "psi+", "psi-")
+_BY_NAME = dict(zip(_NAMES, BELL_ORDER))
 
 # Wire codebook: phi+, psi-, psi+, phi- encode as 00, 01, 10, 11.
-_ENCODE = {
-    BellIndex.PHI_PLUS: "00",
-    BellIndex.PSI_MINUS: "01",
-    BellIndex.PSI_PLUS: "10",
-    BellIndex.PHI_MINUS: "11",
-}
+_ENCODE = ("00", "11", "10", "01")
 
 
 def bell_by_name(name: str) -> BellIndex:
@@ -74,19 +75,12 @@ def bell_by_name(name: str) -> BellIndex:
         raise ValueError(f"unknown Bell state name: {name!r}") from None
 
 
-# The group table: two dict lookups instead of an enum lookup by value per call.
-_XOR = {
-    x: {y: BellIndex((x.phase ^ y.phase, x.parity ^ y.parity)) for y in BELL_ORDER}
-    for x in BELL_ORDER
-}
-
-
 def bell_xor(x: BellIndex, y: BellIndex) -> BellIndex:
     """Group law: component-wise XOR of (phase, parity).
 
     phi+ is the identity and every element is its own inverse.
     """
-    return _XOR[x][y]
+    return BELL_ORDER[x ^ y]
 
 
 def swap_partner(init_a: BellIndex, init_b: BellIndex, measured: BellIndex) -> BellIndex:
@@ -98,7 +92,7 @@ def swap_partner(init_a: BellIndex, init_b: BellIndex, measured: BellIndex) -> B
     relation is an involution in its last argument, so both parties use
     this same function to infer the peer's outcome from their own.
     """
-    return bell_xor(bell_xor(init_a, init_b), measured)
+    return BELL_ORDER[init_a ^ init_b ^ measured]
 
 
 def encode_bits(b: BellIndex) -> str:

@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -70,9 +71,23 @@ class CliUsageError(Exception):
     """Bad flag/file values; maps to exit code 2."""
 
 
+def _count(flag: str, high: float = math.inf):
+    """An argparse type for an int in [1, high].  Its range error is a
+    CliUsageError, which argparse passes on, so the caller names the source."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= high:
+            bound = "at least 1" if value < 1 else f"at most {high}"
+            raise CliUsageError(f"{flag} must be {bound}, got {value}")
+        return value
+
+    count.__name__ = "int"  # argparse's "invalid int value" message names it
+    return count
+
+
 @dataclass(frozen=True)
 class CliConfig:
-    command: str
     session: SessionConfig
     adversary: str
     trials: int
@@ -87,37 +102,27 @@ def _options_parser() -> argparse.ArgumentParser:
     checks the config file's values, so it raises instead of exiting."""
     shared = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     shared.add_argument(
-        "--groups", type=int, default=None, help=f"groups per session (default 16, at most {MAX_GROUPS})"
+        "--groups",
+        type=_count("--groups", MAX_GROUPS),
+        help=f"groups per session (default 16, at most {MAX_GROUPS})",
     )
     shared.add_argument(
-        "--check-fraction",
-        type=float,
-        default=None,
-        help="fraction of groups sacrificed to checking (default 0.5)",
+        "--check-fraction", type=float, help="fraction of groups sacrificed to checking (default 0.5)"
     )
-    shared.add_argument(
-        "--adversary",
-        choices=STRATEGY_KINDS,
-        default=None,
-        help="channel adversary (default none)",
-    )
-    shared.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (default 1000)")
-    shared.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (default: $ENTSWAP_SEED, else 0)"
-    )
+    shared.add_argument("--adversary", choices=STRATEGY_KINDS, help="channel adversary (default none)")
+    shared.add_argument("--trials", type=_count("--trials"), help="Monte Carlo trials (default 1000)")
+    shared.add_argument("--seed", type=int, help="RNG seed (default: $ENTSWAP_SEED, else 0)")
     shared.add_argument(
         "--pair-states",
-        default=None,
         help="declared pair states: 'phi+', 'random[:SEED]', or a comma list of 2n names",
     )
-    shared.add_argument("--out", default=None, help="output file (directory for sweep)")
+    shared.add_argument("--out", help="output file (directory for sweep)")
     shared.add_argument(
         "--format",
         choices=("json", "csv", "both"),
-        default=None,
         help="output format for run/attack (default json); sweep always writes both",
     )
-    shared.add_argument("--config", default=None, help="flat key = value options file")
+    shared.add_argument("--config", help="flat key = value options file")
     return shared
 
 
@@ -213,10 +218,6 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
                 raise CliUsageError(f"ENTSWAP_SEED is not an integer: {env!r}") from exc
         else:
             seed = 0
-    if merged["trials"] < 1:
-        raise CliUsageError("--trials must be at least 1")
-    if merged["groups"] > MAX_GROUPS:
-        raise CliUsageError(f"--groups must be at most {MAX_GROUPS}, got {merged['groups']}")
 
     try:
         session = SessionConfig(
@@ -228,7 +229,6 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     return CliConfig(
-        command=args.command,
         session=session,
         adversary=merged["adversary"],
         trials=merged["trials"],
@@ -417,9 +417,8 @@ _DISPATCH = {"run": cmd_run, "attack": cmd_attack, "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "oracle-check":  # takes no options
             return cmd_oracle_check()
         return _DISPATCH[args.command](resolve_options(args))

@@ -30,13 +30,13 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .adversary import (
-    LAYOUTS,
-    AdversaryStrategy,
     EveReport,
+    Layout,
     corrupt_channels,
     eve_guess_key,
     eve_measure,
     make_strategy,
+    measure,
 )
 from .bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
 
@@ -143,8 +143,8 @@ class GroupRecord:
             "group_index": self.group_index,
             "pair_a_state": str(self.pair_a_state),
             "pair_b_state": str(self.pair_b_state),
-            "alice_outcome": str(self.alice_outcome) if self.alice_outcome else None,
-            "bob_outcome": str(self.bob_outcome) if self.bob_outcome else None,
+            "alice_outcome": str(self.alice_outcome) if self.alice_outcome is not None else None,
+            "bob_outcome": str(self.bob_outcome) if self.bob_outcome is not None else None,
             "alice_fragment": self.alice_fragment,
             "bob_fragment": self.bob_fragment,
             "checked": self.checked,
@@ -241,7 +241,7 @@ class SessionReport:
 
 def run_session(
     config: SessionConfig,
-    adversary: AdversaryStrategy | None = None,
+    adversary: Layout | None = None,
     seed_seq: np.random.SeedSequence | None = None,
 ) -> SessionReport:
     """One full session: measurements in layout order, checking, verdict, key.
@@ -261,14 +261,15 @@ def run_session(
     groups = [GroupRecord(i, a, b) for i, (a, b) in enumerate(pairs)]
     channels = corrupt_channels(adversary, pairs)
     transcript: list[ClassicalMessage] = []
+    eve_outcomes: list[tuple[BellIndex, ...]] = []
 
-    for party in LAYOUTS[adversary.kind].order:
+    for party in adversary.order:
         if party == "eve":
-            eve_measure(adversary, channels, eve_rng)
+            eve_outcomes = eve_measure(adversary, channels, eve_rng)
         elif party == "alice":
             # steps 1-3: swap, infer Bob's outcome, announce only the fact
-            for g, ch in zip(groups, channels):
-                outcome = ch.measure(ch.alice, honest_rng)
+            for g, systems in zip(groups, channels):
+                outcome = measure(systems, adversary.alice, honest_rng)
                 g.alice_outcome = outcome
                 g.alice_fragment = group_key_fragment(
                     outcome, swap_partner(g.pair_a_state, g.pair_b_state, outcome)
@@ -276,8 +277,8 @@ def run_session(
             transcript.append(MeasuredAnnouncement(n_groups=config.n_groups))
         else:
             # step 4: Bob mirrors her and infers Alice's outcome
-            for g, ch in zip(groups, channels):
-                outcome = ch.measure(ch.bob, honest_rng)
+            for g, systems in zip(groups, channels):
+                outcome = measure(systems, adversary.bob, honest_rng)
                 g.bob_outcome = outcome
                 g.bob_fragment = group_key_fragment(
                     swap_partner(g.pair_a_state, g.pair_b_state, outcome), outcome
@@ -310,5 +311,5 @@ def run_session(
         transcript=transcript,
         config=config,
         adversary_kind=adversary.kind,
-        eve=eve_guess_key(adversary, groups, eve_rng),
+        eve=eve_guess_key(adversary, eve_outcomes, groups, eve_rng),
     )

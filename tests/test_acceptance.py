@@ -138,16 +138,15 @@ def test_criterion_4_entangler_detection_curve():
 
 
 def test_criterion_5_entangler_conditional_structure():
-    from entswap.adversary import corrupt_channels, eve_measure
+    from entswap.adversary import corrupt_channels, eve_measure, measure
 
     groups = 43_000  # gives >= 1e4 samples conditioned on alice phi+
-    strategy = make_strategy("type2")
-    channels = corrupt_channels(strategy, [(PHI_P, PHI_P)] * groups)
+    layout = make_strategy("type2")
+    channels = corrupt_channels(layout, [(PHI_P, PHI_P)] * groups)
     rng = np.random.default_rng(60_603)
-    alice = [ch.measure(ch.alice, rng) for ch in channels]
-    bob = [ch.measure(ch.bob, rng) for ch in channels]
-    eve_measure(strategy, channels, rng)
-    eve = [e for (e,) in strategy.by_group]
+    alice = [measure(systems, layout.alice, rng) for systems in channels]
+    bob = [measure(systems, layout.bob, rng) for systems in channels]
+    eve = [e for (e,) in eve_measure(layout, channels, rng)]
 
     paired = sum(
         e is BellIndex((a.phase ^ b.phase, a.parity)) for a, b, e in zip(alice, bob, eve)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from entswap.adversary import (
-    AdversaryStrategy,
+    LAYOUTS,
     STRATEGY_KINDS,
     UnsupportedAttackError,
     corrupt_channels,
     eve_guess_key,
     eve_measure,
     make_strategy,
+    measure,
 )
 from entswap.bell import BELL_ORDER, BellIndex
 from entswap.protocol import SessionConfig, run_session
@@ -24,84 +25,81 @@ ALL_PHI = [(PHI, PHI)]
 def test_make_strategy_kinds():
     assert STRATEGY_KINDS == ("none", "type1", "type2", "type3")
     for kind in STRATEGY_KINDS:
-        assert make_strategy(kind) == AdversaryStrategy(kind)
+        assert make_strategy(kind) is LAYOUTS[kind]
         assert make_strategy(kind).kind == kind
     with pytest.raises(ValueError):
         make_strategy("type4")
-    with pytest.raises(ValueError):
-        AdversaryStrategy("type4")
 
 
 def test_honest_channel_layout():
-    channels = corrupt_channels(make_strategy("none"), [(PHI, PSI)])
-    (ch,) = channels
-    assert set(ch.systems) == {"main"}
-    assert ch.eve == ()
-    assert ch.alice == ("main", ("1", "3"))
-    assert ch.bob == ("main", ("2", "4"))
+    layout = make_strategy("none")
+    (systems,) = corrupt_channels(layout, [(PHI, PSI)])
+    assert set(systems) == {"main"}
+    assert layout.eve == ()
+    assert layout.alice == ("main", ("1", "3"))
+    assert layout.bob == ("main", ("2", "4"))
     expected = tensor(make_bell(PHI, "1", "2"), make_bell(PSI, "3", "4"))
-    assert np.array_equal(ch.systems["main"].amplitudes, expected.amplitudes)
+    assert np.array_equal(systems["main"].amplitudes, expected.amplitudes)
 
 
 def test_guesser_leaves_channel_untouched():
     honest = corrupt_channels(make_strategy("none"), [(PHI, PHI)])[0]
     attacked = corrupt_channels(make_strategy("type1"), [(PHI, PHI)])[0]
-    assert np.array_equal(
-        honest.systems["main"].amplitudes, attacked.systems["main"].amplitudes
-    )
-    assert set(attacked.systems) == {"main", "eve"}
-    assert attacked.eve == (("eve", ("1p", "3p")),)
+    assert np.array_equal(honest["main"].amplitudes, attacked["main"].amplitudes)
+    assert set(attacked) == {"main", "eve"}
+    assert make_strategy("type1").eve == (("eve", ("1p", "3p")),)
 
 
 def test_entangler_layout_and_restriction():
-    channels = corrupt_channels(make_strategy("type2"), ALL_PHI)
-    ch = channels[0]
-    assert ch.systems["main"].num_qubits == 6
-    assert ch.systems["main"].labels == ("1", "2", "5", "3", "4", "6")
-    assert ch.eve == (("main", ("5", "6")),)
-    with pytest.raises(UnsupportedAttackError):
+    layout = make_strategy("type2")
+    (systems,) = corrupt_channels(layout, ALL_PHI)
+    assert systems["main"].num_qubits == 6
+    assert systems["main"].labels == ("1", "2", "5", "3", "4", "6")
+    assert layout.eve == (("main", ("5", "6")),)
+    with pytest.raises(UnsupportedAttackError, match=r"declared \(phi\+, psi\+\)"):
         corrupt_channels(make_strategy("type2"), [(PHI, PSI)])
 
 
 def test_replacer_layout_and_restriction():
-    ch = corrupt_channels(make_strategy("type3"), ALL_PHI)[0]
-    assert set(ch.systems) == {"alice_side", "bob_side"}
-    assert ch.alice == ("alice_side", ("1", "3"))
-    assert ch.bob == ("bob_side", ("2p", "4p"))
+    layout = make_strategy("type3")
+    (systems,) = corrupt_channels(layout, ALL_PHI)
+    assert set(systems) == {"alice_side", "bob_side"}
+    assert layout.alice == ("alice_side", ("1", "3"))
+    assert layout.bob == ("bob_side", ("2p", "4p"))
     # she measures the pairs Bob will touch first, then Alice's partners
-    assert ch.eve == (("bob_side", ("1p", "3p")), ("alice_side", ("2", "4")))
+    assert layout.eve == (("bob_side", ("1p", "3p")), ("alice_side", ("2", "4")))
     with pytest.raises(UnsupportedAttackError):
         corrupt_channels(make_strategy("type3"), [(PSI, PHI)])
 
 
 def test_channel_measure_collapses_system():
     rng = np.random.default_rng(1)
-    ch = corrupt_channels(make_strategy("none"), [(PHI, PHI)])[0]
-    outcome = ch.measure(ch.alice, rng)
+    layout = make_strategy("none")
+    (systems,) = corrupt_channels(layout, [(PHI, PHI)])
+    outcome = measure(systems, layout.alice, rng)
     assert outcome in BELL_ORDER
-    assert identify_bell(ch.systems["main"], "1", "3") is outcome
+    assert identify_bell(systems["main"], "1", "3") is outcome
 
 
 def test_noeve_measure_is_inert():
-    strategy = make_strategy("none")
-    channels = corrupt_channels(strategy, ALL_PHI)
-    before = channels[0].systems["main"].amplitudes.copy()
-    eve_measure(strategy, channels, np.random.default_rng(0))
-    assert np.array_equal(channels[0].systems["main"].amplitudes, before)
-    assert eve_guess_key(strategy, [], np.random.default_rng(0)) is None
+    layout = make_strategy("none")
+    channels = corrupt_channels(layout, ALL_PHI)
+    before = channels[0]["main"].amplitudes.copy()
+    assert eve_measure(layout, channels, np.random.default_rng(0)) == [()]
+    assert np.array_equal(channels[0]["main"].amplitudes, before)
+    assert eve_guess_key(layout, [], [], np.random.default_rng(0)) is None
 
 
 def test_entangler_outcomes_are_term_paired():
     # physical order: alice, bob, then eve; her outcome must always combine
     # the two phase bits and copy alice's parity bit
-    strategy = make_strategy("type2")
+    layout = make_strategy("type2")
     n = 300
-    channels = corrupt_channels(strategy, ALL_PHI * n)
+    channels = corrupt_channels(layout, ALL_PHI * n)
     rng = np.random.default_rng(11)
-    alice = [ch.measure(ch.alice, rng) for ch in channels]
-    bob = [ch.measure(ch.bob, rng) for ch in channels]
-    eve_measure(strategy, channels, rng)
-    for a, b, (e,) in zip(alice, bob, strategy.by_group):
+    alice = [measure(systems, layout.alice, rng) for systems in channels]
+    bob = [measure(systems, layout.bob, rng) for systems in channels]
+    for a, b, (e,) in zip(alice, bob, eve_measure(layout, channels, rng)):
         assert b.parity == a.parity
         assert e is BellIndex((a.phase ^ b.phase, a.parity))
     # both bob branches actually occur given alice phi+
@@ -110,14 +108,14 @@ def test_entangler_outcomes_are_term_paired():
 
 
 def test_replacer_learns_alice_exactly_and_steers_bob():
-    strategy = make_strategy("type3")
+    layout = make_strategy("type3")
     n = 100
-    channels = corrupt_channels(strategy, ALL_PHI * n)
+    channels = corrupt_channels(layout, ALL_PHI * n)
     rng = np.random.default_rng(12)
-    alice = [ch.measure(ch.alice, rng) for ch in channels]
-    eve_measure(strategy, channels, rng)
-    bob = [ch.measure(ch.bob, rng) for ch in channels]
-    for a, b, (bob_facing, alice_facing) in zip(alice, bob, strategy.by_group):
+    alice = [measure(systems, layout.alice, rng) for systems in channels]
+    eve = eve_measure(layout, channels, rng)
+    bob = [measure(systems, layout.bob, rng) for systems in channels]
+    for a, b, (bob_facing, alice_facing) in zip(alice, bob, eve):
         # her alice-facing halves replay alice's outcome verbatim
         assert alice_facing is a
         # bob's outcome is pinned by her bob-facing measurement

@@ -28,6 +28,10 @@ def test_phase_parity_components():
     assert (BellIndex.PHI_MINUS.phase, BellIndex.PHI_MINUS.parity) == (1, 0)
     assert (BellIndex.PSI_PLUS.phase, BellIndex.PSI_PLUS.parity) == (0, 1)
     assert (BellIndex.PSI_MINUS.phase, BellIndex.PSI_MINUS.parity) == (1, 1)
+    for b in BELL_ORDER:
+        assert BellIndex((b.phase, b.parity)) is b
+    with pytest.raises(ValueError):
+        BellIndex((2, 0))
 
 
 def test_names_round_trip():
@@ -35,6 +39,10 @@ def test_names_round_trip():
         assert bell_by_name(str(state)) is state
     assert str(BellIndex.PHI_PLUS) == "phi+"
     assert str(BellIndex.PSI_MINUS) == "psi-"
+    for state in BELL_ORDER:
+        # formatting prints the report name, not the ordinal
+        assert f"{state}" == str(state)
+        assert format(state, ">5") == f"{str(state):>5}"
 
 
 def test_bell_by_name_rejects_unknown():

@@ -244,6 +244,9 @@ def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, monkeypatch, c
         "groupz = 3",
         "just some words",
         "groups =",
+        "groups = -3",
+        "groups = 1000000000",
+        "trials = 0",
     ):
         bad.write_text(line + "\n")
         assert main(["run", "--config", str(bad)]) == EXIT_USAGE, line
