@@ -75,14 +75,6 @@ def bell_by_name(name: str) -> BellIndex:
         raise ValueError(f"unknown Bell state name: {name!r}") from None
 
 
-def bell_xor(x: BellIndex, y: BellIndex) -> BellIndex:
-    """Group law: component-wise XOR of (phase, parity).
-
-    phi+ is the identity and every element is its own inverse.
-    """
-    return BELL_ORDER[x ^ y]
-
-
 def swap_partner(init_a: BellIndex, init_b: BellIndex, measured: BellIndex) -> BellIndex:
     """Bell state of the unmeasured pair after an entanglement swap.
 

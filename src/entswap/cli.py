@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .adversary import STRATEGY_KINDS, UnsupportedAttackError, make_strategy
@@ -93,7 +93,6 @@ class CliConfig:
     trials: int
     out: str | None
     format: str
-    seed: int
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +233,6 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
         trials=merged["trials"],
         out=merged["out"],
         format=merged["format"],
-        seed=seed,
     )
 
 
@@ -251,9 +249,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _csv_cell(value) -> str:
-    """A report JSON value as a CSV cell: null empty, booleans 1/0."""
-    if value is None:
-        return ""
+    """A report JSON value as a CSV cell: booleans 1/0."""
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
@@ -288,7 +284,7 @@ def cmd_run(options: CliConfig) -> int:
     summary = (
         f"run: verdict={report.verdict} key_bits={len(report.alice_key)} "
         f"keys_equal={str(report.keys_equal).lower()} adversary={options.adversary} "
-        f"seed={options.seed}"
+        f"seed={options.session.seed}"
     )
     groups = [g.to_json_dict() for g in report.groups]
     rows = ([_csv_cell(value) for value in g.values()] for g in groups)
@@ -298,7 +294,7 @@ def cmd_run(options: CliConfig) -> int:
 
 def cmd_attack(options: CliConfig) -> int:
     report = monte_carlo(
-        options.session, kind=options.adversary, trials=options.trials, seed=options.seed
+        options.session, kind=options.adversary, trials=options.trials, seed=options.session.seed
     )
     summary = (
         f"attack: strategy={report.strategy} trials={report.trials} "
@@ -313,19 +309,14 @@ def cmd_sweep(options: CliConfig) -> int:
     """One batch per k = 1..k_checked; CSV summary plus per-point JSON."""
     if options.out is None:
         raise CliUsageError("sweep writes multiple files; --out DIRECTORY is required")
-    n = options.session.n_groups
+    n, seed = options.session.n_groups, options.session.seed
     k_max = options.session.k_checked
     os.makedirs(options.out, exist_ok=True)
     rows = []
     for k in range(1, k_max + 1):
         # fraction chosen so the check count lands exactly on k
-        session = SessionConfig(
-            n_groups=n,
-            pair_states=options.session.pair_states,
-            check_fraction=(k - 0.5) / n,
-            seed=options.seed,
-        )
-        report = monte_carlo(session, kind=options.adversary, trials=options.trials, seed=options.seed)
+        session = replace(options.session, check_fraction=(k - 0.5) / n)
+        report = monte_carlo(session, kind=options.adversary, trials=options.trials, seed=seed)
         rows.append(sweep_csv_row(report))
         point_path = os.path.join(options.out, f"{options.adversary}_k{k}.json")
         _write(point_path, _json_text(report.to_json_dict()))

@@ -8,12 +8,16 @@ publishes the fragments of a random subset of groups; Alice compares and
 accepts or aborts.  Checked groups are discarded from the final key since
 their bits crossed the public channel.
 
-:func:`run_session` is one straight pass over those steps.  Who measures
-when is the attack's ``adversary.Layout.order``, so an eavesdropper's
-measurements fall between or after the parties' as her layout places them.
+:func:`run_session` is one pass: :func:`declared_pairs` pairs the declared
+states, each party measures every group at its place in the attack's
+``adversary.Layout.order``, Bob's check subset is drawn, and each
+:class:`GroupRecord` is built once, complete.  Each party infers the
+other's outcome from the declared states by the swap rule of Zukowski et
+al., PRL 71, 4287 (1993).
 
 The classical channel is an ordered, reliable, authenticated-but-readable
 message list: an eavesdropper sees every message but cannot forge one.
+Every :class:`Message` goes on the wire as its kind, sender and fields.
 
 Randomness: a session derives two independent child streams from its seed,
 one for the honest parties and one for the adversary, so the mere presence
@@ -24,6 +28,7 @@ function of (config, adversary kind, seed).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -84,6 +89,9 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # exact ints: a numpy integer would reach the report JSON, a float the list sizes
+        for name in ("n_groups", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_groups < 1:
             raise ValueError("n_groups must be at least 1")
         if not 0.0 < self.check_fraction <= 1.0:
@@ -112,17 +120,19 @@ class SessionConfig:
         return next(j for j in (k - 1, k, k + 1) if j >= 1 and j / n >= fraction)
 
 
-def declared_pair_states(config: SessionConfig) -> list[BellIndex]:
-    """The 2n declared Bell states, in pair order."""
+def declared_pairs(config: SessionConfig) -> list[tuple[BellIndex, BellIndex]]:
+    """Each group's declared (pair a, pair b) states, in group order."""
     policy = config.pair_states
     if isinstance(policy, AllPhiPlus):
-        return [BellIndex.PHI_PLUS] * (2 * config.n_groups)
+        return [(BellIndex.PHI_PLUS, BellIndex.PHI_PLUS)] * config.n_groups
     if isinstance(policy, FixedList):
-        return list(policy.states)
-    if isinstance(policy, RandomKnown):
+        states = policy.states
+    elif isinstance(policy, RandomKnown):
         rng = np.random.default_rng(policy.seed)
-        return [BELL_ORDER[i] for i in rng.integers(0, 4, size=2 * config.n_groups)]
-    raise TypeError(f"not a pair-state policy: {policy!r}")
+        states = [BELL_ORDER[i] for i in rng.integers(0, 4, size=2 * config.n_groups)]
+    else:
+        raise TypeError(f"not a pair-state policy: {policy!r}")
+    return list(zip(states[0::2], states[1::2]))
 
 
 @dataclass
@@ -132,19 +142,19 @@ class GroupRecord:
     group_index: int
     pair_a_state: BellIndex
     pair_b_state: BellIndex
-    alice_outcome: BellIndex | None = None
-    bob_outcome: BellIndex | None = None
-    alice_fragment: str | None = None
-    bob_fragment: str | None = None
-    checked: bool = False
+    alice_outcome: BellIndex
+    bob_outcome: BellIndex
+    alice_fragment: str
+    bob_fragment: str
+    checked: bool
 
     def to_json_dict(self) -> dict:
         return {
             "group_index": self.group_index,
             "pair_a_state": str(self.pair_a_state),
             "pair_b_state": str(self.pair_b_state),
-            "alice_outcome": str(self.alice_outcome) if self.alice_outcome is not None else None,
-            "bob_outcome": str(self.bob_outcome) if self.bob_outcome is not None else None,
+            "alice_outcome": str(self.alice_outcome),
+            "bob_outcome": str(self.bob_outcome),
             "alice_fragment": self.alice_fragment,
             "bob_fragment": self.bob_fragment,
             "checked": self.checked,
@@ -152,7 +162,19 @@ class GroupRecord:
 
 
 @dataclass(frozen=True)
-class MeasuredAnnouncement:
+class Message:
+    """One classical message; its fields, in order, are the wire payload."""
+
+    kind: ClassVar[str]
+    sender: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        payload = {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
+        return {"kind": self.kind, "sender": self.sender, "payload": payload}
+
+
+@dataclass(frozen=True)
+class MeasuredAnnouncement(Message):
     """Alice's step-3 message: she measured, and nothing more.
 
     Carries no outcome data by construction; the payload is the group count
@@ -163,12 +185,9 @@ class MeasuredAnnouncement:
     sender: ClassVar[str] = "alice"
     n_groups: int
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "sender": self.sender, "payload": {"n_groups": self.n_groups}}
-
 
 @dataclass(frozen=True)
-class CheckRequest:
+class CheckRequest(Message):
     """Bob's step-5 message: chosen group indices with his fragments."""
 
     kind: ClassVar[str] = "check_request"
@@ -176,32 +195,15 @@ class CheckRequest:
     indices: tuple[int, ...]
     fragments: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sender": self.sender,
-            "payload": {"indices": list(self.indices), "fragments": list(self.fragments)},
-        }
-
 
 @dataclass(frozen=True)
-class VerdictMessage:
+class VerdictMessage(Message):
     """Alice's comparison result; any mismatch aborts the key."""
 
     kind: ClassVar[str] = "verdict"
     sender: ClassVar[str] = "alice"
     accept: bool
-    mismatched: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sender": self.sender,
-            "payload": {"accept": self.accept, "mismatched_groups": list(self.mismatched)},
-        }
-
-
-ClassicalMessage = Union[MeasuredAnnouncement, CheckRequest, VerdictMessage]
+    mismatched_groups: tuple[int, ...]
 
 
 @dataclass
@@ -214,7 +216,7 @@ class SessionReport:
     keys_equal: bool
     mismatched_groups: tuple[int, ...]
     groups: list[GroupRecord]
-    transcript: list[ClassicalMessage]
+    transcript: list[Message]
     config: SessionConfig
     adversary_kind: str
     eve: EveReport | None = None
@@ -256,45 +258,35 @@ def run_session(
         seed_seq = np.random.SeedSequence(config.seed)
     honest_ss, eve_ss = seed_seq.spawn(2)
     honest_rng, eve_rng = np.random.default_rng(honest_ss), np.random.default_rng(eve_ss)
-    declared = declared_pair_states(config)
-    pairs = list(zip(declared[0::2], declared[1::2]))
-    groups = [GroupRecord(i, a, b) for i, (a, b) in enumerate(pairs)]
+    pairs = declared_pairs(config)
     channels = corrupt_channels(adversary, pairs)
-    transcript: list[ClassicalMessage] = []
-    eve_outcomes: list[tuple[BellIndex, ...]] = []
 
+    # steps 1-4: each party Bell-measures one qubit of each pair per group
+    outcomes: dict[str, list] = {"eve": []}
     for party in adversary.order:
         if party == "eve":
-            eve_outcomes = eve_measure(adversary, channels, eve_rng)
-        elif party == "alice":
-            # steps 1-3: swap, infer Bob's outcome, announce only the fact
-            for g, systems in zip(groups, channels):
-                outcome = measure(systems, adversary.alice, honest_rng)
-                g.alice_outcome = outcome
-                g.alice_fragment = group_key_fragment(
-                    outcome, swap_partner(g.pair_a_state, g.pair_b_state, outcome)
-                )
-            transcript.append(MeasuredAnnouncement(n_groups=config.n_groups))
+            outcomes[party] = eve_measure(adversary, channels, eve_rng)
         else:
-            # step 4: Bob mirrors her and infers Alice's outcome
-            for g, systems in zip(groups, channels):
-                outcome = measure(systems, adversary.bob, honest_rng)
-                g.bob_outcome = outcome
-                g.bob_fragment = group_key_fragment(
-                    swap_partner(g.pair_a_state, g.pair_b_state, outcome), outcome
-                )
+            target = getattr(adversary, party)
+            outcomes[party] = [measure(systems, target, honest_rng) for systems in channels]
 
-    # step 5: Bob publishes a random subset of fragments, Alice compares
+    # step 5: Bob publishes a random subset of fragments, Alice compares;
+    # each party's fragment pairs its outcome with the peer's inferred one
     picked = honest_rng.choice(config.n_groups, size=config.k_checked, replace=False)
     indices = tuple(sorted(int(i) for i in picked))
-    for i in indices:
-        groups[i].checked = True
+    checked = set(indices)
+    groups = [
+        GroupRecord(
+            i, a, b, alice, bob,
+            group_key_fragment(alice, swap_partner(a, b, alice)),
+            group_key_fragment(swap_partner(a, b, bob), bob),
+            i in checked,
+        )
+        for i, ((a, b), alice, bob) in enumerate(zip(pairs, outcomes["alice"], outcomes["bob"]))
+    ]
     request = CheckRequest(indices=indices, fragments=tuple(groups[i].bob_fragment for i in indices))
-    mismatched = tuple(
-        i for i, bits in zip(request.indices, request.fragments) if groups[i].alice_fragment != bits
-    )
-    verdict = VerdictMessage(accept=not mismatched, mismatched=mismatched)
-    transcript += [request, verdict]
+    mismatched = tuple(i for i in indices if groups[i].alice_fragment != groups[i].bob_fragment)
+    verdict = VerdictMessage(accept=not mismatched, mismatched_groups=mismatched)
 
     if verdict.accept:
         alice_key = "".join(g.alice_fragment for g in groups if not g.checked)
@@ -308,8 +300,8 @@ def run_session(
         keys_equal=alice_key == bob_key,
         mismatched_groups=mismatched,
         groups=groups,
-        transcript=transcript,
+        transcript=[MeasuredAnnouncement(config.n_groups), request, verdict],
         config=config,
         adversary_kind=adversary.kind,
-        eve=eve_guess_key(adversary, eve_outcomes, groups, eve_rng),
+        eve=eve_guess_key(adversary, outcomes["eve"], groups, eve_rng),
     )

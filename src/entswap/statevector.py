@@ -26,7 +26,7 @@ and amplitudes are bit for bit those of an uncached measurement.  It is
 bounded: a cache only holds branches that were drawn or projected, so under
 a root state it is a tree as deep as the measurements made on it (at most
 1 + 4 + 4 nodes per honest group system), and it is freed with its root.
-The cache takes no part in equality, ``repr`` or ``to_json_dict``.
+The cache takes no part in equality or ``repr``.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ class StateVector:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"unknown qubit label {label!r}; have {self.labels}") from None
-
-    def to_json_dict(self) -> dict:
-        """Debug dump: label list plus [re, im] pairs."""
-        return {
-            "labels": list(self.labels),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
 
 
 @dataclass(frozen=True)

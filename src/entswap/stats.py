@@ -33,6 +33,7 @@ table backend is checked against in law.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +44,7 @@ import numpy as np
 
 from .adversary import STRATEGY_KINDS, layout_of, make_strategy
 from .bell import BELL_ORDER, BellIndex, swap_partner
-from .protocol import SessionConfig, declared_pair_states, run_session
+from .protocol import SessionConfig, declared_pairs, run_session
 from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -271,8 +272,7 @@ Tally = tuple[int, int, int, np.ndarray]
 
 def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
     """Sample each trial's class counts per declared pair, chunk by chunk."""
-    declared = declared_pair_states(config)
-    pairs = Counter(zip(declared[0::2], declared[1::2]))
+    pairs = Counter(declared_pairs(config))
     tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
     can_mismatch = any(table.mismatch.any() for _, table in tables)
     n, k = config.n_groups, config.k_checked
@@ -337,6 +337,7 @@ def monte_carlo(
     """
     if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown adversary kind: {kind!r}")
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
     if backend not in BACKENDS:

@@ -6,7 +6,6 @@ from entswap.bell import (
     BELL_ORDER,
     BellIndex,
     bell_by_name,
-    bell_xor,
     encode_bits,
     group_key_fragment,
     swap_partner,
@@ -53,14 +52,19 @@ def test_bell_by_name_rejects_unknown():
 
 
 def test_xor_is_klein_four_group():
+    # swap_partner(x, y, phi+) is the group law x XOR y
     phi = BellIndex.PHI_PLUS
+
+    def xor(x, y):
+        return swap_partner(x, y, phi)
+
     for a in BELL_ORDER:
-        assert bell_xor(a, a) is phi  # every element self-inverse
-        assert bell_xor(a, phi) is a  # phi+ is the identity
+        assert xor(a, a) is phi  # every element self-inverse
+        assert xor(a, phi) is a  # phi+ is the identity
         for b in BELL_ORDER:
-            assert bell_xor(a, b) is bell_xor(b, a)
+            assert xor(a, b) is xor(b, a)
             for c in BELL_ORDER:
-                assert bell_xor(bell_xor(a, b), c) is bell_xor(a, bell_xor(b, c))
+                assert xor(xor(a, b), c) is xor(a, xor(b, c))
 
 
 def test_swap_partner_is_componentwise_xor():

@@ -200,5 +200,4 @@ def test_filled_cache_is_invisible():
     assert sv._branches and not empty._branches
     assert sv == empty
     assert repr(sv) == repr(empty)
-    assert sv.to_json_dict() == empty.to_json_dict()
     assert [f.name for f in dataclasses.fields(sv) if f.compare] == ["amplitudes", "labels"]

@@ -193,7 +193,7 @@ RESOLVED = {
     "check-fraction": lambda c: c.session.check_fraction,
     "adversary": lambda c: c.adversary,
     "trials": lambda c: c.trials,
-    "seed": lambda c: c.seed,
+    "seed": lambda c: c.session.seed,
     "pair-states": lambda c: c.session.pair_states.describe(),
     "out": lambda c: c.out,
     "format": lambda c: c.format,
@@ -420,6 +420,10 @@ def test_config_file_groups_above_the_bound_is_a_usage_error(tmp_path, capsys):
 # test_cli_byte_determinism only compare two runs of the same code
 PINNED_RUNS = {
     "run": ["run", "--groups", "8", "--seed", "97", "--format", "both", "--out", "{out}/run.json"],
+    "run-eve": [
+        "run", "--adversary", "type1", "--groups", "6", "--seed", "96", "--pair-states", "random",
+        "--format", "both", "--out", "{out}/run.json",
+    ],
     "attack": [
         "attack", "--adversary", "type2", "--groups", "2", "--check-fraction", "1.0",
         "--trials", "300", "--seed", "98", "--format", "both", "--out", "{out}/attack.json",
@@ -434,6 +438,10 @@ PINNED_FILES = {
         "run.csv": "83e8b28742014afd6a06d45ae7b18f856d5c117da96fd4ee2109a3315b1e657d",
         "run.json": "20b3fd6749e0f9d1e0c9ecaa69121202c0d24345fbbefe80971bc073446e0551",
     },
+    "run-eve": {
+        "run.csv": "61c2eb7d3ed7b77a25527a28c33ae80a2e07af5d0fd5b110c6551dd3e22e22e7",
+        "run.json": "ae03df0d846532a8dfaa76b769b74de5ca65a994f1aad18882ef8d8d1843ad9b",
+    },
     "attack": {
         "attack.csv": "6cc61b65755ad083c27e50e78c52ce856795d118c6731597e10792bf1366a3f5",
         "attack.json": "c10d0e6dbe6626f25c98c5e42f56d6799338128c9a0dc507f675d6ca37676403",
@@ -446,6 +454,7 @@ PINNED_FILES = {
 }
 PINNED_STDOUT = {
     "run": "run: verdict=accept key_bits=16 keys_equal=true adversary=none seed=97\n",
+    "run-eve": "run: verdict=accept key_bits=12 keys_equal=true adversary=type1 seed=96\n",
     "attack": "attack: strategy=type2 trials=300 detection=0.756667 analytic=0.750000\n",
     "sweep": (
         "sweep: k=1 detection=0.720000 analytic=0.750000\n"

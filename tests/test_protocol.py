@@ -1,5 +1,7 @@
 """Five-step session engine: transcripts, keys, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from entswap.protocol import (
     FixedList,
     RandomKnown,
     SessionConfig,
-    declared_pair_states,
+    declared_pairs,
     run_session,
 )
 
@@ -29,6 +31,14 @@ def test_config_validation():
         SessionConfig(n_groups=4, seed=-1)
     with pytest.raises(ValueError):
         SessionConfig(n_groups=4, pair_states=FixedList((PHI,) * 6))
+    with pytest.raises(TypeError):
+        SessionConfig(n_groups=2.5)
+    with pytest.raises(TypeError):
+        SessionConfig(n_groups=2, seed=1.0)
+    # numpy integers are taken as exact ints, so the report stays JSON
+    config = SessionConfig(n_groups=np.int64(2), seed=np.uint32(7))
+    assert type(config.n_groups) is int and type(config.seed) is int
+    assert json.dumps(run_session(config).to_json_dict())
 
 
 def test_k_checked_rounds_up():
@@ -39,16 +49,17 @@ def test_k_checked_rounds_up():
     assert SessionConfig(n_groups=5, check_fraction=0.01).k_checked == 1
 
 
-def test_declared_pair_states_policies():
-    assert declared_pair_states(SessionConfig(n_groups=2)) == [PHI] * 4
+def test_declared_pairs_policies():
+    assert declared_pairs(SessionConfig(n_groups=2)) == [(PHI, PHI)] * 2
     fixed = (PHI, PSI_M, PSI_M, PHI)
-    assert declared_pair_states(SessionConfig(n_groups=2, pair_states=FixedList(fixed))) == list(fixed)
-    a = declared_pair_states(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=5)))
-    b = declared_pair_states(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=5)))
-    c = declared_pair_states(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=6)))
+    config = SessionConfig(n_groups=2, pair_states=FixedList(fixed))
+    assert declared_pairs(config) == [(PHI, PSI_M), (PSI_M, PHI)]
+    a = declared_pairs(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=5)))
+    b = declared_pairs(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=5)))
+    c = declared_pairs(SessionConfig(n_groups=8, pair_states=RandomKnown(seed=6)))
     assert a == b
     assert a != c
-    assert len(a) == 16 and set(a) <= set(BELL_ORDER)
+    assert len(a) == 8 and {s for pair in a for s in pair} <= set(BELL_ORDER)
 
 
 def test_honest_session_accepts_with_equal_keys():

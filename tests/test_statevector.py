@@ -193,9 +193,3 @@ def test_alternate_split_matches_rule():
                 assert identify_bell(collapsed, "1", "4") is swap_partner(a, b, m)
 
 
-def test_to_json_dict_shape():
-    sv = make_bell(BellIndex.PHI_MINUS, "a", "b")
-    payload = sv.to_json_dict()
-    assert payload["labels"] == ["a", "b"]
-    assert payload["amplitudes"][0] == [pytest.approx(INV_SQRT2), 0.0]
-    assert payload["amplitudes"][3] == [pytest.approx(-INV_SQRT2), 0.0]

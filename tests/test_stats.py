@@ -1,5 +1,6 @@
 """Intervals, uniformity test, analytic rates, Monte Carlo summaries."""
 
+import json
 import math
 
 import numpy as np
@@ -163,6 +164,10 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(config, kind="nope", trials=10)
     with pytest.raises(ValueError):
         monte_carlo(config, kind="none", trials=0)
+    with pytest.raises(TypeError):
+        monte_carlo(config, kind="none", trials=10.5)
+    with pytest.raises(TypeError):
+        monte_carlo(config, kind="none", trials=10, seed=3.0)
 
 
 def test_mc_report_json_shape():
@@ -185,6 +190,12 @@ def test_mc_report_json_shape():
     }
     assert len(payload["detection_interval"]) == 2
     assert len(payload["outcome_counts"]) == 4
+    # numpy integers are taken as exact ints, so the report stays JSON
+    numpy_ints = monte_carlo(
+        SessionConfig(n_groups=1), kind="type1", trials=np.int64(50), seed=np.int64(1)
+    )
+    assert numpy_ints == report
+    assert json.loads(json.dumps(numpy_ints.to_json_dict())) == payload
 
 
 def test_efficiency_report_exact_values():
