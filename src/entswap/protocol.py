@@ -28,6 +28,7 @@ function of (config, adversary kind, seed).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -56,9 +57,16 @@ class AllPhiPlus:
 
 @dataclass(frozen=True)
 class FixedList:
-    """Explicit declared state per pair, 2n entries."""
+    """Explicit declared state per pair, 2n entries.
+
+    An entry may be a ``BellIndex`` or its integer ordinal 0-3; it is stored
+    as the ``BellIndex`` member.
+    """
 
     states: tuple[BellIndex, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(_bell_state(i, s) for i, s in enumerate(self.states)))
 
     def describe(self) -> str:
         return ",".join(str(s) for s in self.states)
@@ -81,6 +89,16 @@ class RandomKnown:
 PairStatePolicy = Union[AllPhiPlus, FixedList, RandomKnown]
 
 
+def _bell_state(i: int, state) -> BellIndex:
+    """Entry ``i`` of a fixed pair-state list as a Bell state, or ValueError."""
+    try:
+        if isinstance(state, bool):
+            raise TypeError  # True would pass as phi-
+        return BellIndex(operator.index(state))
+    except (TypeError, ValueError):
+        raise ValueError(f"pair state {i} is not a Bell state: {state!r}") from None
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     n_groups: int
@@ -89,9 +107,18 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # exact ints: a numpy integer would reach the report JSON, a float the list sizes
+        # plain ints and a float: a numpy scalar or a Fraction would reach the
+        # report JSON, a float the list sizes, and a bool would pass as 0 or 1
+        if any(isinstance(v, bool) for v in (self.n_groups, self.seed, self.check_fraction)):
+            raise TypeError("n_groups, seed and check_fraction cannot be bools")
         for name in ("n_groups", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not isinstance(self.check_fraction, numbers.Real):
+            raise TypeError(f"check_fraction must be a real number, not {self.check_fraction!r}")
+        try:
+            object.__setattr__(self, "check_fraction", float(self.check_fraction))
+        except OverflowError:  # an int or Fraction beyond float range
+            raise ValueError("check_fraction must be in (0, 1]") from None
         if self.n_groups < 1:
             raise ValueError("n_groups must be at least 1")
         if not 0.0 < self.check_fraction <= 1.0:

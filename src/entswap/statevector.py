@@ -65,7 +65,11 @@ class _Branches:
     """One Bell measurement of one pair of one state, computed once.
 
     ``cum`` holds the float64 cumulative sums of ``probs`` as ``np.cumsum``
-    gives them, and ``last`` is the last outcome with nonzero probability.
+    gives them, with every branch below ``MIN_FORCED_PROB`` counted as zero,
+    and ``last`` is the last branch at or above it.  Such a branch is
+    rounding noise that no table keeps and ``project_bell`` refuses, so no
+    draw takes it: its interval is empty, and a draw at or above the
+    rounded total ``cum[last]`` takes branch ``last``.
     ``drawn[k]`` is filled the first time branch k is drawn or projected:
     its measurement record and its collapsed state.
     """
@@ -193,11 +197,10 @@ def _pair_branches(sv: StateVector, qubit_i: str, qubit_j: str) -> _Branches:
         pi, pj = _pair_positions(sv, qubit_i, qubit_j)
         comps = _bell_components(sv, pi, pj)
         probs = (np.abs(comps) ** 2).sum(axis=1)
-        # a zero-probability branch has a zero-width interval and is never drawn
-        last = int(np.max(np.nonzero(probs > 0.0)[0]))
-        branches = _Branches(
-            (pi, pj), comps, tuple(probs.tolist()), tuple(np.cumsum(probs).tolist()), last
-        )
+        live = probs >= MIN_FORCED_PROB
+        cum = np.cumsum(np.where(live, probs, 0.0))
+        last = int(np.max(np.nonzero(live)[0]))
+        branches = _Branches((pi, pj), comps, tuple(probs.tolist()), tuple(cum.tolist()), last)
         sv._branches[(qubit_i, qubit_j)] = branches
     return branches
 

@@ -28,6 +28,14 @@ built.  Trials run in chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from
 ``trials`` and ``n_groups`` are.  ``"statevector"`` runs one full session
 per trial, trial ``t`` reseeded from ``(seed, t)``; it is the reference the
 table backend is checked against in law.
+
+A pair's class counts are one ``rng.multinomial(n_pair, probs, size)``
+call, read column by column: each class's trial-indexed counts feed the
+mismatch and missed-guess totals and its own Alice draw directly, with no
+row sums or fancy-index copies.  The generator calls and their order are
+those of the plain multinomial sampler kept in
+``tests/test_table_backend.py``, so a seeded batch tallies exactly what it
+tallies.
 """
 
 from __future__ import annotations
@@ -164,11 +172,12 @@ def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTab
     layout = layout_of(kind)
     coins = (0, 1) if layout.coin else (0,)
     mass: dict[tuple[bool, bool], np.ndarray] = {}
+    # each coin value takes the cell's whole mass; the renormalization below halves it exactly
     for (alice, bob, *eve), p in joint_table(kind, a, b).items():
         for coin in coins:
             eve_ok = layout.guess is None or layout.guess(tuple(eve), coin) is alice
             label = (bob is not swap_partner(a, b, alice), eve_ok)
-            mass.setdefault(label, np.zeros(4))[alice.ordinal] += p / len(coins)
+            mass.setdefault(label, np.zeros(4))[alice.ordinal] += p
     labels = sorted(mass)
     cells = np.array([mass[label] for label in labels])
     totals = cells.sum(axis=1)
@@ -283,16 +292,18 @@ def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Ta
         mismatched = np.zeros(size, dtype=np.int64)
         missed = np.zeros(size, dtype=np.int64)
         for n_pair, table in tables:
-            drawn = rng.multinomial(n_pair, table.probs, size=size)
-            mismatched += drawn[:, table.mismatch].sum(axis=1)
-            missed += drawn[:, ~table.eve_ok].sum(axis=1)
-            # given the class counts, Alice's outcomes are independent per group
-            for total, alice in zip(drawn.sum(axis=0), table.alice):
-                counts += rng.multinomial(total, alice)
+            columns = rng.multinomial(n_pair, table.probs, size=size).T
+            for column, mismatch, eve_ok, alice in zip(columns, table.mismatch, table.eve_ok, table.alice):
+                if mismatch:
+                    mismatched += column
+                if not eve_ok:
+                    missed += column
+                # given the class counts, Alice's outcomes are independent per group
+                counts += rng.multinomial(int(column.sum()), alice)
         if can_mismatch:
-            detections += int((rng.hypergeometric(mismatched, n - mismatched, k) > 0).sum())
-        agreements += int((mismatched == 0).sum())
-        eve_hits += int((missed == 0).sum())
+            detections += np.count_nonzero(rng.hypergeometric(mismatched, n - mismatched, k))
+        agreements += size - np.count_nonzero(mismatched)
+        eve_hits += size - np.count_nonzero(missed)
     return detections, agreements, eve_hits, counts
 
 

@@ -1,6 +1,7 @@
 """Five-step session engine: transcripts, keys, determinism."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,34 @@ def test_config_validation():
     config = SessionConfig(n_groups=np.int64(2), seed=np.uint32(7))
     assert type(config.n_groups) is int and type(config.seed) is int
     assert json.dumps(run_session(config).to_json_dict())
+    # a bool is not a count or a seed, and not a fraction
+    for bad in (dict(n_groups=True), dict(n_groups=2, seed=False), dict(n_groups=2, check_fraction=True)):
+        with pytest.raises(TypeError):
+            SessionConfig(**bad)
+    for bad in ("0.5", 0.5j, None):
+        with pytest.raises(TypeError):
+            SessionConfig(n_groups=2, check_fraction=bad)
+    with pytest.raises(ValueError):
+        SessionConfig(n_groups=2, check_fraction=10**400)
+    # any real fraction is stored as a plain float, so the report stays JSON
+    for fraction in (np.float32(0.5), Fraction(1, 2), np.float64(0.5)):
+        config = SessionConfig(n_groups=2, check_fraction=fraction)
+        assert type(config.check_fraction) is float and config.check_fraction == 0.5
+        assert json.dumps(run_session(config).to_json_dict())
+    with pytest.raises(ValueError):
+        SessionConfig(n_groups=2, check_fraction=Fraction(3, 2))
+
+
+def test_fixed_list_takes_bell_states_only():
+    # ordinals become Bell states
+    states = FixedList((0, 3, 2, PSI_M)).states
+    assert states == (PHI, PSI_M, BellIndex.PSI_PLUS, PSI_M)
+    assert all(type(s) is BellIndex for s in states)
+    config = SessionConfig(n_groups=1, pair_states=FixedList((0, 3)))
+    assert run_session(config) == run_session(SessionConfig(1, FixedList((PHI, PSI_M))))
+    for bad in (4, -1, True, 1.0, "phi+", None, (0, 1), (1, 2), (True, False), (1.0, 0)):
+        with pytest.raises(ValueError, match="pair state 1"):
+            FixedList((PHI, bad))
 
 
 def test_k_checked_rounds_up():

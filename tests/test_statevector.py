@@ -163,6 +163,38 @@ def test_zero_probability_outcomes_never_sampled():
     assert counts[0] > 0 and counts[1] > 0
 
 
+class _FixedDraw:
+    """A generator stub whose every draw is one given double in [0, 1)."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+@pytest.mark.parametrize(
+    "declared, draw",
+    [
+        # the cumulative sum tops out at 0.9999999999999996, below the largest draw
+        (BellIndex.PHI_PLUS, 1.0 - 2.0**-53),
+        # phi+ leads with an interval of rounding noise that only a zero draw hits
+        (BellIndex.PHI_MINUS, 0.0),
+    ],
+    ids=str,
+)
+def test_draws_never_take_a_branch_of_rounding_noise(declared, draw):
+    # the noise branch holds 1e-33: no table keeps it and project_bell refuses it
+    sv = tensor(make_bell(declared, "1", "2"), make_bell(BellIndex.PHI_PLUS, "3", "4"))
+    probs = outcome_distribution(sv, "1", "2")
+    assert 0.0 < probs[declared ^ 1] < 1e-30
+    assert draw == 0.0 or np.cumsum(probs)[-1] < draw
+    record, post = measure_bell(sv, "1", "2", _FixedDraw(draw))
+    assert record.outcome is declared
+    assert identify_bell(post, "1", "2") is declared
+    assert sample_outcome_ordinals(sv, "1", "2", _FixedDraw(draw), 3).tolist() == [declared] * 3
+
+
 def test_sampling_tracks_distribution():
     sv = tensor(make_bell(BellIndex.PHI_PLUS, "1", "2"), make_bell(BellIndex.PHI_PLUS, "3", "4"))
     draws = sample_outcome_ordinals(sv, "1", "3", np.random.default_rng(123), 40000)

@@ -4,18 +4,23 @@ The statevector backend runs one full session per trial and is the
 reference: every kind's table batch must agree with it in law.  The class
 tables the sampler draws from must be the marginals of the oracle's joint
 tables, and a batch's working set must stay bounded by the chunk size.
+The sampler must also make the same generator calls as a plain
+multinomial sampler, kept here as the reference, so a seeded batch does not
+depend on how the class counts are drawn.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from entswap.adversary import LAYOUTS, STRATEGY_KINDS, UnsupportedAttackError
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
-from entswap.protocol import FixedList, RandomKnown, SessionConfig
+from entswap.protocol import AllPhiPlus, FixedList, RandomKnown, SessionConfig, declared_pairs
 from entswap.stats import (
     CHUNK_TRIALS,
+    _table_batch,
     chunk_sizes,
     class_table,
     half_width,
@@ -133,3 +138,58 @@ def test_large_batch_memory_is_bounded_by_the_chunk():
     assert peak < bound_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert report.detection_rate == 0.0 and report.key_agreement_rate == 1.0
     assert sum(report.outcome_counts) == 100_000 * (3 * CHUNK_TRIALS + 1)
+
+
+def _reference_table_batch(config, kind, trials, seed):
+    """The multinomial sampler the table backend must stay draw-for-draw equal to."""
+    pairs = Counter(declared_pairs(config))
+    tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
+    can_mismatch = any(table.mismatch.any() for _, table in tables)
+    n, k = config.n_groups, config.k_checked
+    detections = agreements = eve_hits = 0
+    counts = np.zeros(4, dtype=np.int64)
+    for c, size in enumerate(chunk_sizes(trials)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        mismatched = np.zeros(size, dtype=np.int64)
+        missed = np.zeros(size, dtype=np.int64)
+        for n_pair, table in tables:
+            drawn = rng.multinomial(n_pair, table.probs, size=size)
+            mismatched += drawn[:, table.mismatch].sum(axis=1)
+            missed += drawn[:, ~table.eve_ok].sum(axis=1)
+            # given the class counts, Alice's outcomes are independent per group
+            for total, alice in zip(drawn.sum(axis=0), table.alice):
+                counts += rng.multinomial(total, alice)
+        if can_mismatch:
+            detections += int((rng.hypergeometric(mismatched, n - mismatched, k) > 0).sum())
+        agreements += int((mismatched == 0).sum())
+        eve_hits += int((missed == 0).sum())
+    return detections, agreements, eve_hits, counts
+
+
+_MIXED = (BellIndex.PHI_MINUS, PSI_P, BellIndex.PSI_MINUS, BellIndex.PHI_PLUS, PSI_P)
+# type2 and type3 are modeled on phi+ channels only; none and type1 take any pairs
+SAMPLER_POLICIES = {
+    "none": [AllPhiPlus(), RandomKnown(seed=3), FixedList(_MIXED * 2)],
+    "type1": [AllPhiPlus(), RandomKnown(seed=4), FixedList(_MIXED * 2)],
+    "type2": [AllPhiPlus(), FixedList((BellIndex.PHI_PLUS,) * 10)],
+    "type3": [AllPhiPlus(), FixedList((BellIndex.PHI_PLUS,) * 10)],
+}
+
+
+@pytest.mark.parametrize("fraction", [0.1, 1.0])
+@pytest.mark.parametrize(
+    "kind, policy",
+    [
+        pytest.param(kind, policy, id=f"{kind}-{policy.describe()}")
+        for kind, policies in SAMPLER_POLICIES.items()
+        for policy in policies
+    ],
+)
+def test_table_sampler_matches_the_multinomial_reference(kind, policy, fraction):
+    # one class (none), two (type1, type3) and four (type2); three chunks, the last partial
+    config = SessionConfig(n_groups=5, pair_states=policy, check_fraction=fraction)
+    for trials, seed in [(1, 2), (2 * CHUNK_TRIALS + 3, 9)]:
+        got = _table_batch(config, kind, trials, seed)
+        want = _reference_table_batch(config, kind, trials, seed)
+        assert got[:3] == want[:3], (trials, got, want)
+        assert got[3].tolist() == want[3].tolist()
