@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .bell import BellIndex, group_key_fragment, swap_partner
+from .bell import BellIndex, Record, group_key_fragment, swap_partner
 from .statevector import StateVector, make_bell, make_ghz3, measure_bell, tensor
 
 if TYPE_CHECKING:
@@ -211,7 +211,7 @@ def eve_measure(
 
 
 @dataclass(frozen=True)
-class EveReport:
+class EveReport(Record):
     """What Eve ended up knowing, scored against Alice's fragments.
 
     ``guessed_key`` covers the unchecked groups only, aligned with the
@@ -223,13 +223,6 @@ class EveReport:
     guessed_key: str
     full_key_correct: bool
     per_group_correct: tuple[bool, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "guessed_key": self.guessed_key,
-            "full_key_correct": self.full_key_correct,
-            "per_group_correct": list(self.per_group_correct),
-        }
 
 
 def eve_guess_key(

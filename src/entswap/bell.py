@@ -5,7 +5,9 @@ The four states form a Klein four-group under component-wise XOR of their
 unmeasured pair lands in ``init_a XOR init_b XOR measured``.  Each state is
 its 2-bit ordinal ``phase | parity << 1``, so the group law is integer
 ``^``.  The classical wire encoding is NOT linear in these bits, so the
-codec is a fixed lookup table rather than arithmetic.
+codec is a fixed lookup table rather than arithmetic.  :class:`Record` is
+the JSON rule of the wire messages and reports: fields in order, tuples as
+lists.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ _BY_NAME = dict(zip(_NAMES, BELL_ORDER))
 
 # Wire codebook: phi+, psi-, psi+, phi- encode as 00, 01, 10, 11.
 _ENCODE = ("00", "11", "10", "01")
+
+
+class Record:
+    """A dataclass whose JSON object is its fields in order, tuples as lists."""
+
+    def to_json_dict(self) -> dict:
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
 
 
 def bell_by_name(name: str) -> BellIndex:

@@ -71,19 +71,37 @@ class CliUsageError(Exception):
     """Bad flag/file values; maps to exit code 2."""
 
 
-def _count(flag: str, high: float = math.inf):
-    """An argparse type for an int in [1, high].  Its range error is a
+def _int_in(flag: str, low: int, high: float = math.inf):
+    """An argparse type for an int in [low, high].  Its range error is a
     CliUsageError, which argparse passes on, so the caller names the source."""
 
-    def count(text: str) -> int:
+    def int_in(text: str) -> int:
         value = int(text)
-        if not 1 <= value <= high:
-            bound = "at least 1" if value < 1 else f"at most {high}"
+        if not low <= value <= high:
+            bound = f"at least {low}" if value < low else f"at most {high}"
             raise CliUsageError(f"{flag} must be {bound}, got {value}")
         return value
 
-    count.__name__ = "int"  # argparse's "invalid int value" message names it
-    return count
+    int_in.__name__ = "int"  # argparse's "invalid int value" message names it
+    return int_in
+
+
+def _fraction(text: str) -> float:
+    """An argparse type for --check-fraction, a float in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # nan fails too
+        raise CliUsageError(f"--check-fraction must be in (0, 1], got {text}")
+    return value
+
+
+_fraction.__name__ = "float"
+
+
+def _pair_states(text: str) -> str:
+    """An argparse type for --pair-states: checks its syntax, keeps the text,
+    since a bare 'random' takes the session seed once that is resolved."""
+    parse_pair_states(text, 0)
+    return text
 
 
 @dataclass(frozen=True)
@@ -102,17 +120,18 @@ def _options_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     shared.add_argument(
         "--groups",
-        type=_count("--groups", MAX_GROUPS),
+        type=_int_in("--groups", 1, MAX_GROUPS),
         help=f"groups per session (default 16, at most {MAX_GROUPS})",
     )
     shared.add_argument(
-        "--check-fraction", type=float, help="fraction of groups sacrificed to checking (default 0.5)"
+        "--check-fraction", type=_fraction, help="fraction of groups sacrificed to checking (default 0.5)"
     )
     shared.add_argument("--adversary", choices=STRATEGY_KINDS, help="channel adversary (default none)")
-    shared.add_argument("--trials", type=_count("--trials"), help="Monte Carlo trials (default 1000)")
-    shared.add_argument("--seed", type=int, help="RNG seed (default: $ENTSWAP_SEED, else 0)")
+    shared.add_argument("--trials", type=_int_in("--trials", 1), help="Monte Carlo trials (default 1000)")
+    shared.add_argument("--seed", type=_int_in("--seed", 0), help="RNG seed (default: $ENTSWAP_SEED, else 0)")
     shared.add_argument(
         "--pair-states",
+        type=_pair_states,
         help="declared pair states: 'phi+', 'random[:SEED]', or a comma list of 2n names",
     )
     shared.add_argument("--out", help="output file (directory for sweep)")
@@ -177,25 +196,22 @@ def _config_values(path: str) -> argparse.Namespace:
         raise CliUsageError(f"config file {path}: {exc}") from exc
 
 
-def parse_pair_states(text: str, n_groups: int, session_seed: int) -> PairStatePolicy:
+def parse_pair_states(text: str, session_seed: int) -> PairStatePolicy:
+    """A --pair-states value as its policy; the list length is checked by
+    SessionConfig, since a --groups flag can make a config file's list right."""
     if text == "phi+":
         return AllPhiPlus()
     if text == "random":
         return RandomKnown(seed=session_seed)
     if text.startswith("random:"):
         try:
-            return RandomKnown(seed=int(text.partition(":")[2]))
+            return RandomKnown(seed=_int_in("random pair-state seed", 0)(text.partition(":")[2]))
         except ValueError as exc:
             raise CliUsageError(f"bad random pair-state seed in {text!r}") from exc
     try:
-        states = tuple(bell_by_name(name.strip()) for name in text.split(","))
+        return FixedList(tuple(bell_by_name(name.strip()) for name in text.split(",")))
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    if len(states) != 2 * n_groups:
-        raise CliUsageError(
-            f"pair-state list needs {2 * n_groups} entries for {n_groups} groups, got {len(states)}"
-        )
-    return FixedList(states)
 
 
 def resolve_options(args: argparse.Namespace) -> CliConfig:
@@ -212,7 +228,7 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
         env = os.environ.get("ENTSWAP_SEED")
         if env is not None:
             try:
-                seed = int(env)
+                seed = _int_in("ENTSWAP_SEED", 0)(env)
             except ValueError as exc:
                 raise CliUsageError(f"ENTSWAP_SEED is not an integer: {env!r}") from exc
         else:
@@ -221,7 +237,7 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
     try:
         session = SessionConfig(
             n_groups=merged["groups"],
-            pair_states=parse_pair_states(merged["pair-states"], merged["groups"], seed),
+            pair_states=parse_pair_states(merged["pair-states"], seed),
             check_fraction=merged["check-fraction"],
             seed=seed,
         )
@@ -265,8 +281,6 @@ def _emit(options: CliConfig, summary: str, json_text: str, csv_text: str) -> No
     summary line: to stdout, or to stderr when the report itself went there."""
     fmt = options.format
     if options.out is None:
-        if fmt == "both":
-            raise CliUsageError("--format both requires --out")
         sys.stdout.write(json_text if fmt == "json" else csv_text)
         print(summary, file=sys.stderr)
         return
@@ -307,8 +321,6 @@ def cmd_attack(options: CliConfig) -> int:
 
 def cmd_sweep(options: CliConfig) -> int:
     """One batch per k = 1..k_checked; CSV summary plus per-point JSON."""
-    if options.out is None:
-        raise CliUsageError("sweep writes multiple files; --out DIRECTORY is required")
     n, seed = options.session.n_groups, options.session.seed
     k_max = options.session.k_checked
     os.makedirs(options.out, exist_ok=True)
@@ -412,7 +424,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "oracle-check":  # takes no options
             return cmd_oracle_check()
-        return _DISPATCH[args.command](resolve_options(args))
+        options = resolve_options(args)
+        if options.out is None:  # output-target usage errors come before any work
+            if args.command == "sweep":
+                raise CliUsageError("sweep writes multiple files; --out DIRECTORY is required")
+            if options.format == "both":
+                raise CliUsageError("--format both requires --out")
+        return _DISPATCH[args.command](options)
     except (CliUsageError, UnsupportedAttackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,7 +44,7 @@ from .adversary import (
     make_strategy,
     measure,
 )
-from .bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
+from .bell import BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
 
 
 @dataclass(frozen=True)
@@ -189,15 +189,14 @@ class GroupRecord:
 
 
 @dataclass(frozen=True)
-class Message:
+class Message(Record):
     """One classical message; its fields, in order, are the wire payload."""
 
     kind: ClassVar[str]
     sender: ClassVar[str]
 
     def to_json_dict(self) -> dict:
-        payload = {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
-        return {"kind": self.kind, "sender": self.sender, "payload": payload}
+        return {"kind": self.kind, "sender": self.sender, "payload": super().to_json_dict()}
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import STRATEGY_KINDS, layout_of, make_strategy
-from .bell import BELL_ORDER, BellIndex, swap_partner
+from .bell import BELL_ORDER, BellIndex, Record, swap_partner
 from .protocol import SessionConfig, declared_pairs, run_session
 from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
 
@@ -233,7 +233,7 @@ def analytic_eve_key(kind: str, n_groups: int) -> float | None:
 
 
 @dataclass(frozen=True)
-class MCReport:
+class MCReport(Record):
     """Summary of one Monte Carlo batch of identical sessions."""
 
     strategy: str
@@ -249,23 +249,6 @@ class MCReport:
     outcome_counts: tuple[int, int, int, int]
     analytic_detection: float
     analytic_eve_key: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_groups": self.n_groups,
-            "k_checked": self.k_checked,
-            "trials": self.trials,
-            "seed": self.seed,
-            "detection_rate": self.detection_rate,
-            "detection_interval": list(self.detection_interval),
-            "eve_key_rate": self.eve_key_rate,
-            "eve_key_interval": list(self.eve_key_interval) if self.eve_key_interval else None,
-            "key_agreement_rate": self.key_agreement_rate,
-            "outcome_counts": list(self.outcome_counts),
-            "analytic_detection": self.analytic_detection,
-            "analytic_eve_key": self.analytic_eve_key,
-        }
 
 
 def chunk_sizes(trials: int) -> Iterator[int]:
@@ -304,7 +287,7 @@ def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Ta
             detections += np.count_nonzero(rng.hypergeometric(mismatched, n - mismatched, k))
         agreements += size - np.count_nonzero(mismatched)
         eve_hits += size - np.count_nonzero(missed)
-    return detections, agreements, eve_hits, counts
+    return int(detections), int(agreements), int(eve_hits), counts  # np.count_nonzero gives numpy ints
 
 
 def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
@@ -348,6 +331,8 @@ def monte_carlo(
     """
     if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown adversary kind: {kind!r}")
+    if isinstance(trials, bool) or isinstance(seed, bool):
+        raise TypeError("trials and seed cannot be bools")
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -373,7 +358,7 @@ def monte_carlo(
 
 
 @dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(Record):
     """Raw and net key yield for a session shape."""
 
     n_groups: int
@@ -382,16 +367,6 @@ class EfficiencyReport:
     raw_bits_per_particle: float
     net_bits_per_particle: float
     reference_bits_per_pair: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_groups": self.n_groups,
-            "k_checked": self.k_checked,
-            "raw_bits_per_group": self.raw_bits_per_group,
-            "raw_bits_per_particle": self.raw_bits_per_particle,
-            "net_bits_per_particle": self.net_bits_per_particle,
-            "reference_bits_per_pair": dict(self.reference_bits_per_pair),
-        }
 
 
 def efficiency_report(n_groups: int, check_fraction: float) -> EfficiencyReport:

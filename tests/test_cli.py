@@ -112,9 +112,16 @@ def test_run_group_table_csv(tmp_path):
     assert len(rows) == 1 + 4
 
 
-def test_format_both_requires_out():
-    code = main(["run", "--groups", "2", "--format", "both"])
-    assert code == EXIT_USAGE
+def _no_work(*args, **kwargs):
+    raise AssertionError("a usage error must come before any work")
+
+
+def test_format_both_requires_out(monkeypatch):
+    # checked before the session or the batch runs, not after
+    monkeypatch.setattr(cli, "run_session", _no_work)
+    monkeypatch.setattr(cli, "monte_carlo", _no_work)
+    assert main(["run", "--groups", "2", "--format", "both"]) == EXIT_USAGE
+    assert main(["attack", "--format", "both"]) == EXIT_USAGE
 
 
 def test_format_both_writes_two_files(tmp_path):
@@ -155,8 +162,10 @@ def test_seed_env_fallback_and_flag_override(tmp_path, monkeypatch, capsys):
     main(["run", "--groups", "2", "--seed", "9"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == 9
-    monkeypatch.setenv("ENTSWAP_SEED", "not-a-number")
-    assert main(["run", "--groups", "2"]) == EXIT_USAGE
+    for bad in ("not-a-number", "-1"):
+        monkeypatch.setenv("ENTSWAP_SEED", bad)
+        assert main(["run", "--groups", "2"]) == EXIT_USAGE
+        assert "ENTSWAP_SEED" in capsys.readouterr().err, bad
 
 
 def test_config_file_layering(tmp_path, capsys):
@@ -247,6 +256,13 @@ def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, monkeypatch, c
         "groups = -3",
         "groups = 1000000000",
         "trials = 0",
+        "check-fraction = 2",
+        "check-fraction = 0",
+        "check-fraction = nan",
+        "seed = -1",
+        "pair-states = phi+,omega",
+        "pair-states = random:x",
+        "pair-states = random:-3",
     ):
         bad.write_text(line + "\n")
         assert main(["run", "--config", str(bad)]) == EXIT_USAGE, line
@@ -312,7 +328,9 @@ def test_attack_json_and_csv(tmp_path, capsys):
     assert rows[1][0] == "type2"
 
 
-def test_sweep_requires_out_directory():
+def test_sweep_requires_out_directory(monkeypatch):
+    monkeypatch.setattr(cli, "monte_carlo", _no_work)
+    assert main(["sweep"]) == EXIT_USAGE
     assert main(["sweep", "--adversary", "type2", "--trials", "5"]) == EXIT_USAGE
 
 

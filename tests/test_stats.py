@@ -168,6 +168,11 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(config, kind="none", trials=10.5)
     with pytest.raises(TypeError):
         monte_carlo(config, kind="none", trials=10, seed=3.0)
+    # a bool is not a trial count or a seed
+    with pytest.raises(TypeError):
+        monte_carlo(config, kind="none", trials=True)
+    with pytest.raises(TypeError):
+        monte_carlo(config, kind="none", trials=10, seed=False)
 
 
 def test_mc_report_json_shape():
