@@ -47,6 +47,9 @@ if TYPE_CHECKING:
 
 PHI = BellIndex.PHI_PLUS
 
+# the two Bell states of each parity, phase 0 first, built once: a guess rule runs per group
+_BOTH_PHASES = tuple((BellIndex((0, parity)), BellIndex((1, parity))) for parity in (0, 1))
+
 # (system name, (qubit label, qubit label)) - one measurable pair.
 Target = tuple[str, tuple[str, str]]
 
@@ -62,10 +65,9 @@ class Layout:
     systems; it is memoized per declared pair, and callers copy the dict
     before collapsing states in it.  ``order`` names the parties in the
     order a session lets them measure; Eve measures her ``eve`` targets
-    group by group at her place in it.  ``guess`` turns her outcomes for
-    one group and one fair coin into her guess of Alice's outcome; ``coin``
-    says whether the rule reads the coin, so a session only draws one when
-    it does.
+    group by group at her place in it.  ``guess`` lists, from her outcomes
+    for one group, the equally likely guesses of Alice's outcome she picks
+    one from.
     """
 
     kind: str
@@ -75,8 +77,7 @@ class Layout:
     eve: tuple[Target, ...] = ()
     order: tuple[str, ...] = ("alice", "bob")
     phi_only: bool = False
-    guess: Callable[[tuple[BellIndex, ...], int], BellIndex] | None = None
-    coin: bool = False
+    guess: Callable[[tuple[BellIndex, ...]], tuple[BellIndex, ...]] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "systems", lru_cache(maxsize=None)(self.systems))
@@ -129,7 +130,7 @@ LAYOUTS: dict[str, Layout] = {
             eve=(("eve", ("1p", "3p")),),
             order=("alice", "bob", "eve"),
             # her private swap outcome is a uniform guess
-            guess=lambda eve, coin: eve[0],
+            guess=lambda eve: (eve[0],),
         ),
         Layout(
             "type2",
@@ -140,9 +141,8 @@ LAYOUTS: dict[str, Layout] = {
             order=("alice", "bob", "eve"),
             phi_only=True,
             # her outcome fixes Alice's parity bit and the XOR of the two
-            # phase bits, but not Alice's phase itself: the coin guesses it
-            guess=lambda eve, coin: BellIndex((coin, eve[0].parity)),
-            coin=True,
+            # phase bits, but not Alice's phase itself: she guesses it
+            guess=lambda eve: _BOTH_PHASES[eve[0].parity],
         ),
         Layout(
             "type3",
@@ -157,7 +157,7 @@ LAYOUTS: dict[str, Layout] = {
             order=("alice", "eve", "bob"),
             phi_only=True,
             # her Alice-side halves are perfectly correlated with Alice's pair
-            guess=lambda eve, coin: eve[1],
+            guess=lambda eve: (eve[1],),
         ),
     )
 }
@@ -165,16 +165,12 @@ LAYOUTS: dict[str, Layout] = {
 STRATEGY_KINDS = tuple(LAYOUTS)
 
 
-def layout_of(kind: str) -> Layout:
-    """The layout for a wire-format kind tag."""
+def make_strategy(kind: str) -> Layout:
+    """The layout for a wire-format kind tag: a session's adversary is its kind's layout."""
     try:
         return LAYOUTS[kind]
     except KeyError:
         raise ValueError(f"unknown adversary kind {kind!r}; expected one of {STRATEGY_KINDS}") from None
-
-
-# the public name: a session's adversary is its kind's layout
-make_strategy = layout_of
 
 
 def corrupt_channels(
@@ -242,8 +238,9 @@ def eve_guess_key(
         return None
     fragments: list[str] = []
     for g, eve in zip(groups, outcomes, strict=True):
-        coin = int(rng.integers(0, 2)) if layout.coin else 0
-        guess = layout.guess(eve, coin)
+        guesses = layout.guess(eve)
+        # only a real choice draws: a numpy call per group would double a lone guess's cost
+        guess = guesses[int(rng.integers(0, len(guesses)))] if len(guesses) > 1 else guesses[0]
         fragments.append(group_key_fragment(guess, swap_partner(g.pair_a_state, g.pair_b_state, guess)))
     correct = tuple(bits == g.alice_fragment for bits, g in zip(fragments, groups))
     return EveReport(

@@ -300,9 +300,10 @@ def cmd_run(options: CliConfig) -> int:
         f"keys_equal={str(report.keys_equal).lower()} adversary={options.adversary} "
         f"seed={options.session.seed}"
     )
-    groups = [g.to_json_dict() for g in report.groups]
+    payload = report.to_json_dict()
+    groups = payload["groups"]  # the CSV rows are the group JSON, encoded once
     rows = ([_csv_cell(value) for value in g.values()] for g in groups)
-    _emit(options, summary, _json_text(report.to_json_dict()), _csv_text(list(groups[0]), rows))
+    _emit(options, summary, _json_text(payload), _csv_text(list(groups[0]), rows))
     return EXIT_OK if report.verdict == "accept" else EXIT_ABORT
 
 

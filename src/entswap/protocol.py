@@ -82,6 +82,14 @@ class RandomKnown:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        # a plain int, as SessionConfig.seed: a bool or float is no seed
+        if isinstance(self.seed, bool):
+            raise TypeError("random pair-state seed cannot be a bool")
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
+            raise ValueError("random pair-state seed must be non-negative")
+
     def describe(self) -> str:
         return f"random:{self.seed}"
 
@@ -125,8 +133,8 @@ class SessionConfig:
             raise ValueError("check_fraction must be in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if isinstance(self.pair_states, RandomKnown) and self.pair_states.seed < 0:
-            raise ValueError("random pair-state seed must be non-negative")
+        if not isinstance(self.pair_states, (AllPhiPlus, FixedList, RandomKnown)):
+            raise TypeError(f"not a pair-state policy: {self.pair_states!r}")
         if isinstance(self.pair_states, FixedList) and len(self.pair_states.states) != 2 * self.n_groups:
             raise ValueError(
                 f"fixed pair-state list needs {2 * self.n_groups} entries, "
@@ -154,11 +162,9 @@ def declared_pairs(config: SessionConfig) -> list[tuple[BellIndex, BellIndex]]:
         return [(BellIndex.PHI_PLUS, BellIndex.PHI_PLUS)] * config.n_groups
     if isinstance(policy, FixedList):
         states = policy.states
-    elif isinstance(policy, RandomKnown):
+    else:
         rng = np.random.default_rng(policy.seed)
         states = [BELL_ORDER[i] for i in rng.integers(0, 4, size=2 * config.n_groups)]
-    else:
-        raise TypeError(f"not a pair-state policy: {policy!r}")
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -277,7 +283,8 @@ def run_session(
     The parties record the DECLARED pair states; whatever the adversary
     actually put on the channel lives only in the group channels.  The
     honest stream draws every Alice outcome, then every Bob outcome, then
-    the checked subset; Eve's stream draws her outcomes, then her coins.
+    the checked subset; Eve's stream draws her outcomes, then her pick of
+    each group's guess.
     """
     adversary = adversary if adversary is not None else make_strategy("none")
     if seed_seq is None:

@@ -15,16 +15,17 @@ the canonical Bell order (phi+, phi-, psi+, psi-), so seeded runs are
 reproducible bit for bit.
 
 Measurements are memoized on the state they act on.  A ``StateVector`` is
-immutable, so the Bell components of a pair, their Born probabilities and
-the collapsed state of each branch are fixed by (state, pair, branch); each
-state keeps them in a private cache the first time they are asked for, and
-every later ``measure_bell``/``project_bell`` on that pair is a lookup plus
-the one ``rng.random()`` draw.  This is exact: the draw is compared against
-the very float64 sums ``np.cumsum`` produced, and the cached record and
-child are the objects the first computation built, so outcomes, RNG streams
-and amplitudes are bit for bit those of an uncached measurement.  It is
-bounded: a cache only holds branches that were drawn or projected, so under
-a root state it is a tree as deep as the measurements made on it (at most
+immutable, so the Born probabilities of a pair's four Bell outcomes and the
+collapsed state of each branch are fixed by (state, pair, branch).  The
+first ``measure_bell``/``project_bell`` on a pair builds every live branch
+of it, its measurement record and its collapsed child, into the state's
+private cache, and every later one is a lookup plus the one
+``rng.random()`` draw.  This is exact: the draw is compared against the
+very float64 sums ``np.cumsum`` produced, and the cached record and child
+are the objects the first computation built, so outcomes, RNG streams and
+amplitudes are bit for bit those of an uncached measurement.  It is
+bounded: a cache holds every live branch of each measured pair, so under a
+root state it is a tree as deep as the measurements made on it (at most
 1 + 4 + 4 nodes per honest group system), and it is freed with its root.
 The cache takes no part in equality or ``repr``.
 """
@@ -62,7 +63,7 @@ _BELL_MATRIX = np.array([_bell_amplitudes(b) for b in BELL_ORDER])
 
 @dataclass
 class _Branches:
-    """One Bell measurement of one pair of one state, computed once.
+    """One Bell measurement of one pair of one state, built whole.
 
     ``cum`` holds the float64 cumulative sums of ``probs`` as ``np.cumsum``
     gives them, with every branch below ``MIN_FORCED_PROB`` counted as zero,
@@ -70,16 +71,14 @@ class _Branches:
     rounding noise that no table keeps and ``project_bell`` refuses, so no
     draw takes it: its interval is empty, and a draw at or above the
     rounded total ``cum[last]`` takes branch ``last``.
-    ``drawn[k]`` is filled the first time branch k is drawn or projected:
-    its measurement record and its collapsed state.
+    ``children[k]`` is live branch k's measurement record and collapsed
+    state; a branch of rounding noise has None.
     """
 
-    positions: tuple[int, int]
-    components: np.ndarray
     probs: tuple[float, float, float, float]
     cum: tuple[float, float, float, float]
     last: int
-    drawn: list = field(default_factory=lambda: [None] * 4)
+    children: tuple[tuple[MeasurementRecord, StateVector] | None, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,21 +199,15 @@ def _pair_branches(sv: StateVector, qubit_i: str, qubit_j: str) -> _Branches:
         live = probs >= MIN_FORCED_PROB
         cum = np.cumsum(np.where(live, probs, 0.0))
         last = int(np.max(np.nonzero(live)[0]))
-        branches = _Branches((pi, pj), comps, tuple(probs.tolist()), tuple(cum.tolist()), last)
+        probs = tuple(probs.tolist())
+        children = tuple(
+            (MeasurementRecord(qubit_i, qubit_j, b, probs), _collapse(sv, pi, pj, k, comps, probs[k]))
+            if live[k] else None
+            for k, b in enumerate(BELL_ORDER)
+        )
+        branches = _Branches(probs, tuple(cum.tolist()), last, children)
         sv._branches[(qubit_i, qubit_j)] = branches
     return branches
-
-
-def _branch(
-    sv: StateVector, qubit_i: str, qubit_j: str, branches: _Branches, k: int
-) -> tuple[MeasurementRecord, StateVector]:
-    drawn = branches.drawn[k]
-    if drawn is None:
-        record = MeasurementRecord(qubit_i, qubit_j, BELL_ORDER[k], branches.probs)
-        pi, pj = branches.positions
-        child = _collapse(sv, pi, pj, k, branches.components, branches.probs[k])
-        drawn = branches.drawn[k] = (record, child)
-    return drawn
 
 
 def outcome_distribution(sv: StateVector, qubit_i: str, qubit_j: str) -> np.ndarray:
@@ -232,8 +225,7 @@ def measure_bell(
     CDF in canonical order and draws exactly one ``rng.random()``.
     """
     branches = _pair_branches(sv, qubit_i, qubit_j)
-    k = min(bisect_right(branches.cum, rng.random()), branches.last)
-    return _branch(sv, qubit_i, qubit_j, branches, k)
+    return branches.children[min(bisect_right(branches.cum, rng.random()), branches.last)]
 
 
 def project_bell(
@@ -245,11 +237,10 @@ def project_bell(
     Used for exhaustive table checks that must not depend on sampling luck.
     """
     branches = _pair_branches(sv, qubit_i, qubit_j)
-    k = outcome.ordinal
-    prob = branches.probs[k]
+    prob = branches.probs[outcome.ordinal]
     if prob < MIN_FORCED_PROB:
         raise ValueError(f"outcome {outcome} has probability {prob}; cannot condition on it")
-    return prob, _branch(sv, qubit_i, qubit_j, branches, k)[1]
+    return prob, branches.children[outcome.ordinal][1]
 
 
 def identify_bell(sv: StateVector, qubit_i: str, qubit_j: str) -> BellIndex | None:

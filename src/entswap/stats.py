@@ -16,7 +16,7 @@ Three layers:
 
 Monte Carlo has two backends.  ``"table"`` (the default) reduces each
 joint table to classes of cells labelled (fragments mismatch, Eve's guess
-right), her fair coin expanded where her rule reads one.  Groups are
+right), each of her equally likely guesses taken in turn.  Groups are
 independent product systems and Bob's check subset is uniform and
 independent of the outcomes, so a trial is fully described by how many of
 its groups fall in each class: the batch draws those counts per declared
@@ -50,7 +50,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .adversary import STRATEGY_KINDS, layout_of, make_strategy
+from .adversary import make_strategy
 from .bell import BELL_ORDER, BellIndex, Record, swap_partner
 from .protocol import SessionConfig, declared_pairs, run_session
 from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
@@ -126,7 +126,7 @@ def joint_table(
     modeled for phi+ channels only raise UnsupportedAttackError for any
     other declared pair.
     """
-    layout = layout_of(kind)
+    layout = make_strategy(kind)
     order = layout.session_order()
     table: dict[tuple[BellIndex, ...], float] = {}
 
@@ -153,8 +153,8 @@ class ClassTable:
     """One declared pair's joint table, reduced to what a trial depends on.
 
     Class ``i`` gathers the cells whose fragments mismatch iff
-    ``mismatch[i]`` and whose guess (per fair coin, where the rule reads
-    one) is Alice's outcome iff ``eve_ok[i]``; only classes with mass
+    ``mismatch[i]`` and whose guess (each of Eve's equally likely guesses
+    in turn) is Alice's outcome iff ``eve_ok[i]``; only classes with mass
     appear.  ``probs`` are the class probabilities, renormalized to sum to
     one, and ``alice[i]`` is p(alice outcome | class i) in canonical order.
     Without an adversary every cell counts as guessed right.
@@ -169,14 +169,12 @@ class ClassTable:
 @lru_cache(maxsize=None)
 def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTable:
     """The (mismatch, eve_ok) classes of ``joint_table(kind, a, b)``."""
-    layout = layout_of(kind)
-    coins = (0, 1) if layout.coin else (0,)
+    layout = make_strategy(kind)
     mass: dict[tuple[bool, bool], np.ndarray] = {}
-    # each coin value takes the cell's whole mass; the renormalization below halves it exactly
+    # each guess takes the cell's whole mass; the renormalization below shares it out exactly
     for (alice, bob, *eve), p in joint_table(kind, a, b).items():
-        for coin in coins:
-            eve_ok = layout.guess is None or layout.guess(tuple(eve), coin) is alice
-            label = (bob is not swap_partner(a, b, alice), eve_ok)
+        for guess in layout.guess(tuple(eve)) if layout.guess else (alice,):
+            label = (bob is not swap_partner(a, b, alice), guess is alice)
             mass.setdefault(label, np.zeros(4))[alice.ordinal] += p
     labels = sorted(mass)
     cells = np.array([mass[label] for label in labels])
@@ -209,7 +207,7 @@ def per_group_eve_success(kind: str) -> float | None:
     Alice's outcome.  None for the honest channel (there is no adversary
     to succeed).
     """
-    if layout_of(kind).guess is None:
+    if make_strategy(kind).guess is None:
         return None
     table = class_table(kind)
     return float(table.probs[table.eve_ok].sum())
@@ -329,17 +327,18 @@ def monte_carlo(
     fragments, checked groups included; `key_agreement_rate` counts trials
     where every honest fragment pair agreed.
     """
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown adversary kind: {kind!r}")
+    layout = make_strategy(kind)
     if isinstance(trials, bool) or isinstance(seed, bool):
         raise TypeError("trials and seed cannot be bools")
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if backend not in BACKENDS:
         raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
     detections, agreements, eve_hits, counts = BACKENDS[backend](config, kind, trials, seed)
-    has_eve = layout_of(kind).guess is not None
+    has_eve = layout.guess is not None
     return MCReport(
         strategy=kind,
         n_groups=config.n_groups,

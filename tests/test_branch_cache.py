@@ -151,10 +151,10 @@ def roots(kind):
 
 def cached_nodes(sv: StateVector) -> int:
     return 1 + sum(
-        cached_nodes(drawn[1])
+        cached_nodes(child[1])
         for branches in sv._branches.values()
-        for drawn in branches.drawn
-        if drawn is not None
+        for child in branches.children
+        if child is not None
     )
 
 

@@ -15,14 +15,16 @@ from entswap.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_USAGE,
     main,
     oracle_check_rows,
     parse_config_file,
 )
-from entswap.protocol import SessionConfig, run_session
+from entswap.protocol import GroupRecord, SessionConfig, run_session
 from entswap.adversary import STRATEGY_KINDS, make_strategy
-from entswap.stats import SWEEP_CSV_HEADER
+from entswap.bell import BellIndex, swap_partner
+from entswap.stats import SWEEP_CSV_HEADER, joint_table
 
 
 @pytest.fixture(autouse=True)
@@ -399,6 +401,66 @@ def test_oracle_check_takes_no_options(monkeypatch, capsys):
 def test_oracle_check_rows_all_pass():
     for name, ok, detail in oracle_check_rows():
         assert ok, f"{name}: {detail}"
+
+
+def rekeyed(table, cell, new_cell):
+    """The table with one cell's mass moved to another cell."""
+    doctored = dict(table)
+    doctored[new_cell] = doctored.get(new_cell, 0.0) + doctored.pop(cell)
+    return doctored
+
+
+PHI_P, PHI_M, PSI_P = BellIndex.PHI_PLUS, BellIndex.PHI_MINUS, BellIndex.PSI_PLUS
+
+
+def test_entangler_check_names_each_kind_of_deviation():
+    table = joint_table("type2")
+    assert list(cli._entangler_failures(table)) == []
+    # the cells (alice, bob, eve) of Alice's phi+ branch: Bob phi+ or phi-, Eve paired
+    assert (PHI_P, PHI_M, PHI_M) in table
+    no_phi_plus = {key: p for key, p in table.items() if key[0] is not PHI_P}
+    assert next(cli._entangler_failures(no_phi_plus)) == "alice phi+ probability 0.000000 != 1/4"
+    wrong_family = rekeyed(table, (PHI_P, PHI_M, PHI_M), (PHI_P, PSI_P, PHI_M))
+    assert next(cli._entangler_failures(wrong_family)) == "bob phi- given alice phi+: 0.000000 != 0.5"
+    unpaired = rekeyed(table, (PHI_P, PHI_M, PHI_M), (PHI_P, PHI_M, PHI_P))
+    assert next(cli._entangler_failures(unpaired)) == "eve given alice phi+, bob phi-: p(phi-) = 0.000000"
+
+
+def test_oracle_check_failures_exit_4(monkeypatch, capsys):
+    unpaired = rekeyed(joint_table("type2"), (PHI_P, PHI_M, PHI_M), (PHI_P, PHI_M, PHI_P))
+    monkeypatch.setattr(cli, "joint_table", lambda kind: unpaired)
+    assert main(["oracle-check"]) == EXIT_ORACLE
+    out = capsys.readouterr().out
+    assert "FAIL  entangler conditional structure" in out
+    assert "eve given alice phi+, bob phi-" in out
+    assert out.splitlines()[-1] == "oracle-check: FAILURES above"
+    # a swap rule that disagrees with the oracle fails its own row
+    monkeypatch.setattr(cli, "swap_partner", lambda a, b, m: BellIndex(swap_partner(a, b, m) ^ 1))
+    rows = {name: (ok, detail) for name, ok, detail in oracle_check_rows()}
+    ok, detail = rows["swap rule vs oracle, 64 triples x 2 splits"]
+    assert not ok
+    assert detail == "(phi+,phi+,phi+) split ('1', '3'): oracle phi+ != rule phi-"
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("groups = 2  # zw\xf6lf\n".encode("latin-1"))
+    assert main(["run", "--config", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config file {bad} is not UTF-8 text" in err
+
+
+def test_run_encodes_each_group_once(tmp_path, monkeypatch):
+    encoded = []
+    encode = GroupRecord.to_json_dict
+
+    def counted(group):
+        encoded.append(group.group_index)
+        return encode(group)
+
+    monkeypatch.setattr(GroupRecord, "to_json_dict", counted)
+    assert main(["run", "--groups", "5", "--format", "both", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert encoded == list(range(5))
 
 
 def test_cli_byte_determinism(tmp_path):

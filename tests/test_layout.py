@@ -43,17 +43,17 @@ def reference_classes(kind, a, b):
     """(mismatch, eve_ok) -> p(alice) cells, walked cell by cell over the joint table.
 
     Each cell's fragments mismatch when Bob's outcome is not the swap partner
-    of Alice's; Eve's guess is averaged over her fair coin where she has one.
+    of Alice's; Eve's guess is averaged over her equally likely guesses.
     """
     layout = LAYOUTS[kind]
-    coins = (0, 1) if layout.coin else (0,)
     classes = {}
     for (alice, bob, *eve), p in joint_table(kind, a, b).items():
-        for coin in coins:
-            guessed = layout.guess is None or layout.guess(tuple(eve), coin) is alice
+        guesses = layout.guess(tuple(eve)) if layout.guess is not None else (None,)
+        for guess in guesses:
+            guessed = layout.guess is None or guess is alice
             label = (bob is not swap_partner(a, b, alice), guessed)
             cells = classes.setdefault(label, [0.0] * 4)
-            cells[alice.ordinal] += p / len(coins)
+            cells[alice.ordinal] += p / len(guesses)
     return classes
 
 

@@ -70,6 +70,21 @@ def test_fixed_list_takes_bell_states_only():
             FixedList((PHI, bad))
 
 
+def test_pair_state_policies_are_checked_where_they_are_built():
+    # the random policy's seed is a plain int, as the session seed is
+    assert type(RandomKnown(np.int64(3)).seed) is int
+    assert RandomKnown(np.uint8(3)).describe() == "random:3"
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            RandomKnown(bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        RandomKnown(-1)
+    # a policy is one of the three classes, not its text
+    for bad in ("phi+", "random:3", None, (PHI, PHI)):
+        with pytest.raises(TypeError, match="not a pair-state policy"):
+            SessionConfig(n_groups=1, pair_states=bad)
+
+
 def test_k_checked_rounds_up():
     assert SessionConfig(n_groups=16, check_fraction=0.5).k_checked == 8
     assert SessionConfig(n_groups=4, check_fraction=0.26).k_checked == 2

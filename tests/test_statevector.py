@@ -7,6 +7,7 @@ import pytest
 
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.statevector import (
+    MAX_QUBITS,
     StateVector,
     identify_bell,
     make_bell,
@@ -90,6 +91,25 @@ def test_tensor_rejects_label_collisions():
     b = make_bell(BellIndex.PHI_PLUS, "2", "3")
     with pytest.raises(ValueError):
         tensor(a, b)
+
+
+def test_tensor_stops_at_the_qubit_bound():
+    def ghz_pair(prefix):
+        return tensor(make_ghz3(*(prefix + c for c in "abc")), make_ghz3(*(prefix + c for c in "def")))
+
+    full = tensor(ghz_pair("x"), ghz_pair("y"))
+    assert full.num_qubits == MAX_QUBITS
+    with pytest.raises(ValueError, match=f"exceed {MAX_QUBITS} qubits"):
+        tensor(full, make_bell(BellIndex.PHI_PLUS, "1", "2"))
+
+
+def test_measuring_a_qubit_with_itself_is_refused():
+    sv = make_bell(BellIndex.PHI_PLUS, "a", "b")
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="two distinct qubits"):
+        measure_bell(sv, "a", "a", rng)
+    # refused before the draw: the stream is untouched
+    assert rng.random() == np.random.default_rng(3).random()
 
 
 def test_tensor_and_position():

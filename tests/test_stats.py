@@ -173,6 +173,9 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(config, kind="none", trials=True)
     with pytest.raises(TypeError):
         monte_carlo(config, kind="none", trials=10, seed=False)
+    # a negative seed is refused by name before any sampling
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo(config, kind="none", trials=10, seed=-1)
 
 
 def test_mc_report_json_shape():

@@ -79,7 +79,7 @@ def test_class_table_is_the_marginal_of_the_joint_table(kind, a, b):
     guess = LAYOUTS[kind].guess
     expected: dict[tuple[bool, bool], np.ndarray] = {}
     for (alice, bob, *eve), p in joint.items():
-        label = (bob is not swap_partner(a, b, alice), guess is None or guess(tuple(eve), 0) is alice)
+        label = (bob is not swap_partner(a, b, alice), guess is None or guess(tuple(eve))[0] is alice)
         expected.setdefault(label, np.zeros(4))[alice.ordinal] += p
     labels = list(zip(classes.mismatch.tolist(), classes.eve_ok.tolist()))
     assert sorted(labels) == sorted(expected)
