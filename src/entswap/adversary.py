@@ -190,8 +190,8 @@ def corrupt_channels(
 def measure(systems: dict[str, StateVector], target: Target, rng: np.random.Generator) -> BellIndex:
     """Bell-measure one target pair of a group, collapsing its system in place."""
     name, (qi, qj) = target
-    record, systems[name] = measure_bell(systems[name], qi, qj, rng)
-    return record.outcome
+    outcome, systems[name] = measure_bell(systems[name], qi, qj, rng)
+    return outcome
 
 
 def eve_measure(

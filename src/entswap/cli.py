@@ -38,7 +38,9 @@ from functools import lru_cache
 
 from .adversary import STRATEGY_KINDS, UnsupportedAttackError, make_strategy
 from .bell import BELL_ORDER, BellIndex, bell_by_name, swap_partner
-from .protocol import AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
+from .protocol import (
+    MAX_GROUPS, AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
+)
 from .statevector import identify_bell, make_bell, outcome_distribution, project_bell, tensor
 from .stats import SWEEP_CSV_HEADER, joint_table, monte_carlo, sweep_csv_row
 
@@ -61,10 +63,6 @@ _DEFAULTS = {
 }
 
 _DIST_ATOL = 1e-9
-
-# Upper bound on --groups.  A `run` of this many groups takes ~3 s and
-# ~300 MB; numpy's hypergeometric draw fails outright from 10^9 groups.
-MAX_GROUPS = 100_000
 
 
 class CliUsageError(Exception):

@@ -46,6 +46,10 @@ from .adversary import (
 )
 from .bell import BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
 
+# Upper bound on a session's groups.  A `run` of this many groups takes ~3 s and
+# ~300 MB; numpy's hypergeometric draw fails outright from 10^9 groups.
+MAX_GROUPS = 100_000
+
 
 @dataclass(frozen=True)
 class AllPhiPlus:
@@ -284,9 +288,14 @@ def run_session(
     actually put on the channel lives only in the group channels.  The
     honest stream draws every Alice outcome, then every Bob outcome, then
     the checked subset; Eve's stream draws her outcomes, then her pick of
-    each group's guess.
+    each group's guess.  Raises ValueError for more than ``MAX_GROUPS``
+    groups and TypeError for an adversary that is not a ``Layout``.
     """
     adversary = adversary if adversary is not None else make_strategy("none")
+    if not isinstance(adversary, Layout):
+        raise TypeError(f"adversary must be a Layout, not {adversary!r}")
+    if config.n_groups > MAX_GROUPS:
+        raise ValueError(f"a session has at most {MAX_GROUPS} groups, got {config.n_groups}")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     honest_ss, eve_ss = seed_seq.spawn(2)

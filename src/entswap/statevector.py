@@ -18,16 +18,16 @@ Measurements are memoized on the state they act on.  A ``StateVector`` is
 immutable, so the Born probabilities of a pair's four Bell outcomes and the
 collapsed state of each branch are fixed by (state, pair, branch).  The
 first ``measure_bell``/``project_bell`` on a pair builds every live branch
-of it, its measurement record and its collapsed child, into the state's
-private cache, and every later one is a lookup plus the one
-``rng.random()`` draw.  This is exact: the draw is compared against the
-very float64 sums ``np.cumsum`` produced, and the cached record and child
-are the objects the first computation built, so outcomes, RNG streams and
-amplitudes are bit for bit those of an uncached measurement.  It is
-bounded: a cache holds every live branch of each measured pair, so under a
-root state it is a tree as deep as the measurements made on it (at most
-1 + 4 + 4 nodes per honest group system), and it is freed with its root.
-The cache takes no part in equality or ``repr``.
+of it, its outcome and its collapsed child, into the state's private
+cache, and every later one is a lookup plus the one ``rng.random()`` draw.
+This is exact: the draw is compared against the very float64 sums
+``np.cumsum`` produced, and the cached child is the object the first
+computation built, so outcomes, RNG streams and amplitudes are bit for bit
+those of an uncached measurement.  It is bounded: a cache holds every live
+branch of each measured pair, so under a root state it is a tree as deep
+as the measurements made on it (at most 1 + 4 + 4 nodes per honest group
+system), and it is freed with its root.  The cache takes no part in
+equality or ``repr``.
 """
 
 from __future__ import annotations
@@ -67,18 +67,17 @@ class _Branches:
 
     ``cum`` holds the float64 cumulative sums of ``probs`` as ``np.cumsum``
     gives them, with every branch below ``MIN_FORCED_PROB`` counted as zero,
-    and ``last`` is the last branch at or above it.  Such a branch is
-    rounding noise that no table keeps and ``project_bell`` refuses, so no
-    draw takes it: its interval is empty, and a draw at or above the
-    rounded total ``cum[last]`` takes branch ``last``.
-    ``children[k]`` is live branch k's measurement record and collapsed
-    state; a branch of rounding noise has None.
+    and ``+inf`` from the last branch at or above it on.  A branch below it
+    is rounding noise that no table keeps and ``project_bell`` refuses, so
+    no draw takes it: its interval is empty, and every draw in [0, 1) at or
+    above the last finite sum takes the last live branch.
+    ``children[k]`` is live branch k's outcome and collapsed state; a branch
+    of rounding noise has None.
     """
 
     probs: tuple[float, float, float, float]
     cum: tuple[float, float, float, float]
-    last: int
-    children: tuple[tuple[MeasurementRecord, StateVector] | None, ...]
+    children: tuple[tuple[BellIndex, StateVector] | None, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +109,7 @@ class StateVector:
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
         amps.setflags(write=False)
 
@@ -128,16 +127,6 @@ class StateVector:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"unknown qubit label {label!r}; have {self.labels}") from None
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One Bell measurement: the pair, the sampled outcome, and its Born weights."""
-
-    qubit_i: str
-    qubit_j: str
-    outcome: BellIndex
-    probabilities: tuple[float, float, float, float]
 
 
 def make_bell(index: BellIndex, label_i: str, label_j: str) -> StateVector:
@@ -198,14 +187,13 @@ def _pair_branches(sv: StateVector, qubit_i: str, qubit_j: str) -> _Branches:
         probs = (np.abs(comps) ** 2).sum(axis=1)
         live = probs >= MIN_FORCED_PROB
         cum = np.cumsum(np.where(live, probs, 0.0))
-        last = int(np.max(np.nonzero(live)[0]))
+        cum[np.flatnonzero(live)[-1] :] = np.inf
         probs = tuple(probs.tolist())
         children = tuple(
-            (MeasurementRecord(qubit_i, qubit_j, b, probs), _collapse(sv, pi, pj, k, comps, probs[k]))
-            if live[k] else None
+            (b, _collapse(sv, pi, pj, k, comps, probs[k])) if live[k] else None
             for k, b in enumerate(BELL_ORDER)
         )
-        branches = _Branches(probs, tuple(cum.tolist()), last, children)
+        branches = _Branches(probs, tuple(cum.tolist()), children)
         sv._branches[(qubit_i, qubit_j)] = branches
     return branches
 
@@ -217,15 +205,16 @@ def outcome_distribution(sv: StateVector, qubit_i: str, qubit_j: str) -> np.ndar
 
 def measure_bell(
     sv: StateVector, qubit_i: str, qubit_j: str, rng: np.random.Generator
-) -> tuple[MeasurementRecord, StateVector]:
+) -> tuple[BellIndex, StateVector]:
     """Sample a Bell measurement on the pair and collapse the full state.
 
-    Deterministic given the rng state; repeating on the already-collapsed
-    pair returns the same outcome with probability 1.  Sampling is inverse
-    CDF in canonical order and draws exactly one ``rng.random()``.
+    Returns the outcome and the collapsed state.  Deterministic given the
+    rng state; repeating on the already-collapsed pair returns the same
+    outcome with probability 1.  Sampling is inverse CDF in canonical order
+    and draws exactly one ``rng.random()``.
     """
     branches = _pair_branches(sv, qubit_i, qubit_j)
-    return branches.children[min(bisect_right(branches.cum, rng.random()), branches.last)]
+    return branches.children[bisect_right(branches.cum, rng.random())]
 
 
 def project_bell(
@@ -237,10 +226,10 @@ def project_bell(
     Used for exhaustive table checks that must not depend on sampling luck.
     """
     branches = _pair_branches(sv, qubit_i, qubit_j)
-    prob = branches.probs[outcome.ordinal]
-    if prob < MIN_FORCED_PROB:
+    prob, child = branches.probs[outcome.ordinal], branches.children[outcome.ordinal]
+    if child is None:
         raise ValueError(f"outcome {outcome} has probability {prob}; cannot condition on it")
-    return prob, branches.children[outcome.ordinal][1]
+    return prob, child[1]
 
 
 def identify_bell(sv: StateVector, qubit_i: str, qubit_j: str) -> BellIndex | None:
@@ -265,6 +254,4 @@ def sample_outcome_ordinals(
     Equivalent to measuring `size` independent copies of the state; the
     per-copy collapse is skipped because only the outcomes are wanted.
     """
-    branches = _pair_branches(sv, qubit_i, qubit_j)
-    k = np.searchsorted(branches.cum, rng.random(size), side="right")
-    return np.minimum(k, branches.last)
+    return np.searchsorted(_pair_branches(sv, qubit_i, qubit_j).cum, rng.random(size), side="right")

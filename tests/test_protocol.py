@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entswap import cli
 from entswap.adversary import make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.protocol import (
+    MAX_GROUPS,
     AllPhiPlus,
     FixedList,
     RandomKnown,
@@ -83,6 +85,17 @@ def test_pair_state_policies_are_checked_where_they_are_built():
     for bad in ("phi+", "random:3", None, (PHI, PHI)):
         with pytest.raises(TypeError, match="not a pair-state policy"):
             SessionConfig(n_groups=1, pair_states=bad)
+
+
+def test_run_session_checks_its_own_inputs(monkeypatch):
+    # both checks come before any state is paired
+    monkeypatch.setattr("entswap.protocol.declared_pairs", None)
+    with pytest.raises(ValueError, match=f"at most {MAX_GROUPS} groups"):
+        run_session(SessionConfig(n_groups=MAX_GROUPS + 1))
+    with pytest.raises(TypeError, match="must be a Layout"):
+        run_session(SessionConfig(n_groups=2), "type2")
+    # the CLI reads the one bound rather than stating its own
+    assert cli.MAX_GROUPS is MAX_GROUPS
 
 
 def test_k_checked_rounds_up():

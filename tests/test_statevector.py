@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entswap.adversary import LAYOUTS, STRATEGY_KINDS
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.statevector import (
     MAX_QUBITS,
+    MIN_FORCED_PROB,
     StateVector,
     identify_bell,
     make_bell,
@@ -55,6 +59,12 @@ def test_statevector_validation():
         StateVector(np.array([1.0, 0.0, 0.0, 0.0]), ("a", "a"))  # duplicate labels
     with pytest.raises(ValueError):
         StateVector(np.eye(1, 2**13)[0], tuple(f"q{i}" for i in range(13)))  # too many qubits
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, np.nan], [np.nan] * 4])
+def test_nan_amplitudes_are_not_a_unit_norm_state(amps):
+    with pytest.raises(ValueError, match="state norm nan is not 1"):
+        StateVector(np.array(amps), ("a", "b"))
 
 
 def test_amplitudes_are_read_only():
@@ -161,15 +171,14 @@ def test_identify_bell_needs_near_certainty():
 
 def test_measure_bell_is_reproducible_and_consistent():
     sv = tensor(make_bell(BellIndex.PHI_PLUS, "1", "2"), make_bell(BellIndex.PSI_MINUS, "3", "4"))
-    rec1, post1 = measure_bell(sv, "1", "3", np.random.default_rng(42))
-    rec2, post2 = measure_bell(sv, "1", "3", np.random.default_rng(42))
-    assert rec1.outcome is rec2.outcome
+    outcome1, post1 = measure_bell(sv, "1", "3", np.random.default_rng(42))
+    outcome2, post2 = measure_bell(sv, "1", "3", np.random.default_rng(42))
+    assert outcome1 is outcome2
     assert np.array_equal(post1.amplitudes, post2.amplitudes)
-    assert rec1.qubit_i == "1" and rec1.qubit_j == "3"
-    assert rec1.probabilities == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+    assert outcome_distribution(sv, "1", "3") == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
     # post state is normalized and identifies as the recorded outcome
     assert np.linalg.norm(post1.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert identify_bell(post1, "1", "3") is rec1.outcome
+    assert identify_bell(post1, "1", "3") is outcome1
 
 
 def test_zero_probability_outcomes_never_sampled():
@@ -209,10 +218,47 @@ def test_draws_never_take_a_branch_of_rounding_noise(declared, draw):
     probs = outcome_distribution(sv, "1", "2")
     assert 0.0 < probs[declared ^ 1] < 1e-30
     assert draw == 0.0 or np.cumsum(probs)[-1] < draw
-    record, post = measure_bell(sv, "1", "2", _FixedDraw(draw))
-    assert record.outcome is declared
+    outcome, post = measure_bell(sv, "1", "2", _FixedDraw(draw))
+    assert outcome is declared
     assert identify_bell(post, "1", "2") is declared
     assert sample_outcome_ordinals(sv, "1", "2", _FixedDraw(draw), 3).tolist() == [declared] * 3
+
+
+def session_measurements(kind: str, a: BellIndex, b: BellIndex) -> list[tuple[StateVector, str, str]]:
+    """Every (state, qubit, qubit) a session of this kind measures, on every live branch."""
+    layout = LAYOUTS[kind]
+    frontier = [layout.declared_systems(a, b)]
+    found = []
+    for _, (name, (qi, qj)) in layout.session_order():
+        found += [(systems[name], qi, qj) for systems in frontier]
+        frontier = [
+            {**systems, name: project_bell(systems[name], qi, qj, m)[1]}
+            for systems in frontier
+            for m in BELL_ORDER
+            if outcome_distribution(systems[name], qi, qj)[m] >= MIN_FORCED_PROB
+        ]
+    return found
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(STRATEGY_KINDS),
+    a=st.sampled_from(BELL_ORDER),
+    b=st.sampled_from(BELL_ORDER),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 64),
+)
+def test_scalar_and_vector_samplers_agree_draw_for_draw(kind, a, b, seed, size):
+    if LAYOUTS[kind].phi_only:
+        a = b = BellIndex.PHI_PLUS
+    for sv, qi, qj in session_measurements(kind, a, b):
+        rng = np.random.default_rng(seed)
+        scalar = [measure_bell(sv, qi, qj, rng)[0] for _ in range(size)]
+        assert sample_outcome_ordinals(sv, qi, qj, np.random.default_rng(seed), size).tolist() == scalar
+        # the extreme draws fall in the first and the last live branch alike
+        for u in (0.0, 1.0 - 2.0**-53):
+            vector = sample_outcome_ordinals(sv, qi, qj, _FixedDraw(u), 1).tolist()
+            assert vector == [measure_bell(sv, qi, qj, _FixedDraw(u))[0]]
 
 
 def test_sampling_tracks_distribution():
@@ -229,10 +275,10 @@ def test_sequential_measurements_stay_consistent():
     rng = np.random.default_rng(99)
     for _ in range(25):
         sv = tensor(make_bell(BellIndex.PHI_PLUS, "1", "2"), make_bell(BellIndex.PSI_PLUS, "3", "4"))
-        rec_a, post = measure_bell(sv, "1", "3", rng)
-        rec_b, _ = measure_bell(post, "2", "4", rng)
-        assert rec_b.outcome is swap_partner(BellIndex.PHI_PLUS, BellIndex.PSI_PLUS, rec_a.outcome)
-        assert rec_b.probabilities[rec_b.outcome.ordinal] == pytest.approx(1.0, abs=1e-9)
+        outcome_a, post = measure_bell(sv, "1", "3", rng)
+        outcome_b, _ = measure_bell(post, "2", "4", rng)
+        assert outcome_b is swap_partner(BellIndex.PHI_PLUS, BellIndex.PSI_PLUS, outcome_a)
+        assert outcome_distribution(post, "2", "4")[outcome_b.ordinal] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_alternate_split_matches_rule():
