@@ -429,6 +429,8 @@ def main(argv=None) -> int:
                 raise CliUsageError("sweep writes multiple files; --out DIRECTORY is required")
             if options.format == "both":
                 raise CliUsageError("--format both requires --out")
+        elif not (options.out if args.command == "sweep" else os.path.basename(options.out)):
+            raise CliUsageError(f"--out {options.out!r} names no file")
         return _DISPATCH[args.command](options)
     except (CliUsageError, UnsupportedAttackError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,8 +46,9 @@ from .adversary import (
 )
 from .bell import BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
 
-# Upper bound on a session's groups.  A `run` of this many groups takes ~3 s and
-# ~300 MB; numpy's hypergeometric draw fails outright from 10^9 groups.
+# Upper bound on the groups of every SessionConfig.  A `run` of this many groups
+# takes ~3 s and ~300 MB; a table-backend batch builds an n-entry pair list, and
+# numpy's hypergeometric draw fails outright from 10^9 groups.
 MAX_GROUPS = 100_000
 
 
@@ -131,8 +132,8 @@ class SessionConfig:
             object.__setattr__(self, "check_fraction", float(self.check_fraction))
         except OverflowError:  # an int or Fraction beyond float range
             raise ValueError("check_fraction must be in (0, 1]") from None
-        if self.n_groups < 1:
-            raise ValueError("n_groups must be at least 1")
+        if not 1 <= self.n_groups <= MAX_GROUPS:
+            raise ValueError(f"a session has at least 1 and at most {MAX_GROUPS} groups, got {self.n_groups}")
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError("check_fraction must be in (0, 1]")
         if self.seed < 0:
@@ -288,14 +289,12 @@ def run_session(
     actually put on the channel lives only in the group channels.  The
     honest stream draws every Alice outcome, then every Bob outcome, then
     the checked subset; Eve's stream draws her outcomes, then her pick of
-    each group's guess.  Raises ValueError for more than ``MAX_GROUPS``
-    groups and TypeError for an adversary that is not a ``Layout``.
+    each group's guess.  Raises TypeError for an adversary that is not a
+    ``Layout``; ``SessionConfig`` already bounds the groups by ``MAX_GROUPS``.
     """
     adversary = adversary if adversary is not None else make_strategy("none")
     if not isinstance(adversary, Layout):
         raise TypeError(f"adversary must be a Layout, not {adversary!r}")
-    if config.n_groups > MAX_GROUPS:
-        raise ValueError(f"a session has at most {MAX_GROUPS} groups, got {config.n_groups}")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     honest_ss, eve_ss = seed_seq.spawn(2)

@@ -27,7 +27,9 @@ those of an uncached measurement.  It is bounded: a cache holds every live
 branch of each measured pair, so under a root state it is a tree as deep
 as the measurements made on it (at most 1 + 4 + 4 nodes per honest group
 system), and it is freed with its root.  The cache takes no part in
-equality or ``repr``.
+equality or ``repr``.  A branch below ``MIN_FORCED_PROB`` is rounding
+noise; ``live_outcomes`` lists the rest, the only outcomes ``measure_bell``
+draws and ``project_bell`` conditions on, so no caller restates the bound.
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ def _pair_branches(sv: StateVector, qubit_i: str, qubit_j: str) -> _Branches:
         branches = _Branches(probs, tuple(cum.tolist()), children)
         sv._branches[(qubit_i, qubit_j)] = branches
     return branches
+
+
+def live_outcomes(sv: StateVector, qubit_i: str, qubit_j: str) -> tuple[BellIndex, ...]:
+    """The pair's live Bell outcomes in canonical order: exactly those ``project_bell`` conditions on."""
+    return tuple(child[0] for child in _pair_branches(sv, qubit_i, qubit_j).children if child)
 
 
 def outcome_distribution(sv: StateVector, qubit_i: str, qubit_j: str) -> np.ndarray:

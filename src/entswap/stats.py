@@ -25,9 +25,10 @@ Alice's outcome tallies per class.  That is the session path's exact joint
 law, for every kind alike, with no statevector touched once the tables are
 built.  Trials run in chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from
 ``SeedSequence(seed, spawn_key=(c,))``, so memory stays bounded whatever
-``trials`` and ``n_groups`` are.  ``"statevector"`` runs one full session
-per trial, trial ``t`` reseeded from ``(seed, t)``; it is the reference the
-table backend is checked against in law.
+``trials`` is; it grows with ``n_groups``, which ``protocol.MAX_GROUPS``
+bounds.  ``"statevector"`` runs one full session per trial, trial ``t``
+reseeded from ``(seed, t)``; it is the reference the table backend is
+checked against in law.
 
 A pair's class counts are one ``rng.multinomial(n_pair, probs, size)``
 call, read column by column: each class's trial-indexed counts feed the
@@ -51,9 +52,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import make_strategy
-from .bell import BELL_ORDER, BellIndex, Record, swap_partner
+from .bell import BellIndex, Record, swap_partner
 from .protocol import SessionConfig, declared_pairs, run_session
-from .statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
+from .statevector import live_outcomes, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -121,31 +122,25 @@ def joint_table(
 
     Keys are (alice, bob, *eve) outcome tuples, values their probability.
     The walk follows the session's measurement order on the kind's layout
-    and conditions on every outcome with its Born weight; branches below
-    MIN_FORCED_PROB are pruned, so only reachable cells appear.  Attacks
-    modeled for phi+ channels only raise UnsupportedAttackError for any
-    other declared pair.
+    and conditions on every live outcome with its Born weight, so only
+    reachable cells appear.  Attacks modeled for phi+ channels only raise
+    UnsupportedAttackError for any other declared pair.
     """
     layout = make_strategy(kind)
     order = layout.session_order()
-    table: dict[tuple[BellIndex, ...], float] = {}
-
-    def walk(systems: dict, step: int, outcomes: tuple, prob: float) -> None:
-        if step == len(order):
-            table[outcomes] = prob
-            return
-        slot, (name, (qi, qj)) = order[step]
-        sv = systems[name]
-        probs = outcome_distribution(sv, qi, qj)
-        for outcome in BELL_ORDER:
-            if probs[outcome.ordinal] < MIN_FORCED_PROB:
-                continue
-            p, collapsed = project_bell(sv, qi, qj, outcome)
-            placed = outcomes[:slot] + (outcome,) + outcomes[slot + 1 :]
-            walk({**systems, name: collapsed}, step + 1, placed, prob * p)
-
-    walk(layout.declared_systems(a, b), 0, (None,) * len(order), 1.0)
-    return MappingProxyType(table)  # read-only: every caller shares the cached table
+    # each leaf is (systems, outcomes so far, probability); one step expands every leaf
+    leaves = [(layout.declared_systems(a, b), (None,) * len(order), 1.0)]
+    for slot, (name, (qi, qj)) in order:
+        grown = []
+        for systems, outcomes, prob in leaves:
+            sv = systems[name]
+            for outcome in live_outcomes(sv, qi, qj):
+                p, child = project_bell(sv, qi, qj, outcome)
+                placed = outcomes[:slot] + (outcome,) + outcomes[slot + 1 :]
+                grown.append(({**systems, name: child}, placed, prob * p))
+        leaves = grown
+    # read-only: every caller shares the cached table
+    return MappingProxyType({outcomes: prob for _, outcomes, prob in leaves})
 
 
 @dataclass(frozen=True)

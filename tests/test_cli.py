@@ -126,6 +126,29 @@ def test_format_both_requires_out(monkeypatch):
     assert main(["attack", "--format", "both"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--out", "d/"],
+        ["run", "--format", "both", "--out", "d/"],
+        ["attack", "--format", "both", "--out", "d/"],
+        ["run", "--out", ""],
+        ["attack", "--out", ""],
+        ["sweep", "--out", ""],
+    ],
+    ids=" ".join,
+)
+def test_out_without_a_file_name_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # checked before the session or the batch runs, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    monkeypatch.setattr(cli, "run_session", _no_work)
+    monkeypatch.setattr(cli, "monte_carlo", _no_work)
+    assert main(argv) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
 def test_format_both_writes_two_files(tmp_path):
     base = tmp_path / "attack_report"
     code = main(

@@ -2,10 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from entswap import stats
 from entswap.adversary import LAYOUTS, STRATEGY_KINDS, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
+from entswap.statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
 from entswap.stats import class_table, joint_table, per_check_mismatch, per_group_eve_success
 
 PHI = BellIndex.PHI_PLUS
@@ -64,6 +67,51 @@ SUPPORTED_PAIRS = [
     for b in BELL_ORDER
     if not layout.phi_only or a is b is PHI
 ]
+
+
+def _reference_joint_table(kind, a, b):
+    """The recursive walker joint_table had before it walked live_outcomes.
+
+    It restates the live-branch threshold and recurses depth first; the
+    table it builds is the reference for keys, key order and value bits.
+    """
+    layout = make_strategy(kind)
+    order = layout.session_order()
+    table = {}
+
+    def walk(systems, step, outcomes, prob):
+        if step == len(order):
+            table[outcomes] = prob
+            return
+        slot, (name, (qi, qj)) = order[step]
+        sv = systems[name]
+        probs = outcome_distribution(sv, qi, qj)
+        for outcome in BELL_ORDER:
+            if probs[outcome.ordinal] < MIN_FORCED_PROB:
+                continue
+            p, collapsed = project_bell(sv, qi, qj, outcome)
+            placed = outcomes[:slot] + (outcome,) + outcomes[slot + 1 :]
+            walk({**systems, name: collapsed}, step + 1, placed, prob * p)
+
+    walk(layout.declared_systems(a, b), 0, (None,) * len(order), 1.0)
+    return table
+
+
+def test_joint_table_is_the_recursive_walk_bit_for_bit(monkeypatch):
+    assert len(SUPPORTED_PAIRS) == 34
+    references = {case: _reference_joint_table(*case) for case in SUPPORTED_PAIRS}
+    for case, reference in references.items():
+        table = joint_table(*case)
+        assert list(table) == list(reference), case
+        # == on floats: the same products in the same order, not merely close ones
+        assert list(table.values()) == list(reference.values()), case
+    # so the class tables the batches draw from are the same arrays too
+    expected = {case: class_table(*case) for case in SUPPORTED_PAIRS}
+    monkeypatch.setattr(stats, "joint_table", lambda *case: references[case])
+    for case, want in expected.items():
+        got = class_table.__wrapped__(*case)
+        for name in ("mismatch", "eve_ok", "probs", "alice"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (case, name)
 
 
 @pytest.mark.parametrize("kind, a, b", SUPPORTED_PAIRS, ids=str)

@@ -98,6 +98,15 @@ def test_run_session_checks_its_own_inputs(monkeypatch):
     assert cli.MAX_GROUPS is MAX_GROUPS
 
 
+def test_every_config_is_bounded_by_max_groups():
+    # a Monte Carlo batch's memory grows with n, so the bound is the config's, not
+    # only run_session's; only constructed here, never run at a large n
+    for n in (MAX_GROUPS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"at most {MAX_GROUPS} groups"):
+            SessionConfig(n_groups=n)
+    assert SessionConfig(n_groups=MAX_GROUPS).n_groups == MAX_GROUPS
+
+
 def test_k_checked_rounds_up():
     assert SessionConfig(n_groups=16, check_fraction=0.5).k_checked == 8
     assert SessionConfig(n_groups=4, check_fraction=0.26).k_checked == 2

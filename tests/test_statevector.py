@@ -14,6 +14,7 @@ from entswap.statevector import (
     MIN_FORCED_PROB,
     StateVector,
     identify_bell,
+    live_outcomes,
     make_bell,
     make_ghz3,
     measure_bell,
@@ -217,6 +218,7 @@ def test_draws_never_take_a_branch_of_rounding_noise(declared, draw):
     sv = tensor(make_bell(declared, "1", "2"), make_bell(BellIndex.PHI_PLUS, "3", "4"))
     probs = outcome_distribution(sv, "1", "2")
     assert 0.0 < probs[declared ^ 1] < 1e-30
+    assert live_outcomes(sv, "1", "2") == (declared,)
     assert draw == 0.0 or np.cumsum(probs)[-1] < draw
     outcome, post = measure_bell(sv, "1", "2", _FixedDraw(draw))
     assert outcome is declared
@@ -240,6 +242,14 @@ def session_measurements(kind: str, a: BellIndex, b: BellIndex) -> list[tuple[St
     return found
 
 
+def _conditions_on(sv: StateVector, qi: str, qj: str, outcome: BellIndex) -> bool:
+    try:
+        project_bell(sv, qi, qj, outcome)
+    except ValueError:
+        return False
+    return True
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     kind=st.sampled_from(STRATEGY_KINDS),
@@ -252,6 +262,7 @@ def test_scalar_and_vector_samplers_agree_draw_for_draw(kind, a, b, seed, size):
     if LAYOUTS[kind].phi_only:
         a = b = BellIndex.PHI_PLUS
     for sv, qi, qj in session_measurements(kind, a, b):
+        assert live_outcomes(sv, qi, qj) == tuple(m for m in BELL_ORDER if _conditions_on(sv, qi, qj, m))
         rng = np.random.default_rng(seed)
         scalar = [measure_bell(sv, qi, qj, rng)[0] for _ in range(size)]
         assert sample_outcome_ordinals(sv, qi, qj, np.random.default_rng(seed), size).tolist() == scalar
