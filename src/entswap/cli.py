@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from .bell import BELL_ORDER, BellIndex, bell_by_name, swap_partner
 from .protocol import (
     MAX_GROUPS, AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
 )
-from .statevector import identify_bell, make_bell, outcome_distribution, project_bell, tensor
+from .statevector import identify_bell, outcome_distribution, project_bell
 from .stats import SWEEP_CSV_HEADER, joint_table, monte_carlo, sweep_csv_row
 
 EXIT_OK = 0
@@ -250,16 +249,15 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write_json(handle, payload: dict) -> None:
+    json.dump(payload, handle, indent=2)
+    handle.write("\n")
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(handle, header, rows) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _csv_cell(value) -> str:
@@ -269,25 +267,27 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, writer, *args) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        writer(handle, *args)
 
 
-def _emit(options: CliConfig, summary: str, json_text: str, csv_text: str) -> None:
-    """Write json/csv/both to --out (or stdout for a single format), then the
-    summary line: to stdout, or to stderr when the report itself went there."""
-    fmt = options.format
+def _emit(options: CliConfig, summary: str, payload: dict, header, rows) -> None:
+    """Write the report straight to --out as json/csv/both (or to stdout for a
+    single format), rendering only the formats written, then the summary
+    line: to stdout, or to stderr when the report itself went there."""
+    reports = {"json": (_write_json, payload), "csv": (_write_csv, header, rows)}
     if options.out is None:
-        sys.stdout.write(json_text if fmt == "json" else csv_text)
+        writer, *args = reports[options.format]
+        writer(sys.stdout, *args)
         print(summary, file=sys.stderr)
         return
-    if fmt == "both":
+    if options.format == "both":
         base = os.path.splitext(options.out)[0]
-        _write(base + ".json", json_text)
-        _write(base + ".csv", csv_text)
+        for fmt in ("json", "csv"):
+            _write(f"{base}.{fmt}", *reports[fmt])
     else:
-        _write(options.out, json_text if fmt == "json" else csv_text)
+        _write(options.out, *reports[options.format])
     print(summary)
 
 
@@ -301,7 +301,7 @@ def cmd_run(options: CliConfig) -> int:
     payload = report.to_json_dict()
     groups = payload["groups"]  # the CSV rows are the group JSON, encoded once
     rows = ([_csv_cell(value) for value in g.values()] for g in groups)
-    _emit(options, summary, _json_text(payload), _csv_text(list(groups[0]), rows))
+    _emit(options, summary, payload, list(groups[0]), rows)
     return EXIT_OK if report.verdict == "accept" else EXIT_ABORT
 
 
@@ -313,8 +313,7 @@ def cmd_attack(options: CliConfig) -> int:
         f"attack: strategy={report.strategy} trials={report.trials} "
         f"detection={report.detection_rate:.6f} analytic={report.analytic_detection:.6f}"
     )
-    csv_text = _csv_text(SWEEP_CSV_HEADER, [sweep_csv_row(report)])
-    _emit(options, summary, _json_text(report.to_json_dict()), csv_text)
+    _emit(options, summary, report.to_json_dict(), SWEEP_CSV_HEADER, [sweep_csv_row(report)])
     return EXIT_OK
 
 
@@ -330,13 +329,13 @@ def cmd_sweep(options: CliConfig) -> int:
         report = monte_carlo(session, kind=options.adversary, trials=options.trials, seed=seed)
         rows.append(sweep_csv_row(report))
         point_path = os.path.join(options.out, f"{options.adversary}_k{k}.json")
-        _write(point_path, _json_text(report.to_json_dict()))
+        _write(point_path, _write_json, report.to_json_dict())
         print(
             f"sweep: k={k} detection={report.detection_rate:.6f} "
             f"analytic={report.analytic_detection:.6f}"
         )
     csv_path = os.path.join(options.out, "sweep.csv")
-    _write(csv_path, _csv_text(SWEEP_CSV_HEADER, rows))
+    _write(csv_path, _write_csv, SWEEP_CSV_HEADER, rows)
     print(f"sweep: wrote {csv_path} and {k_max} point files")
     return EXIT_OK
 
@@ -374,7 +373,7 @@ def oracle_check_rows() -> list[tuple[str, bool, str]]:
     worst = 0.0
     for a in BELL_ORDER:
         for b in BELL_ORDER:
-            sv = tensor(make_bell(a, "1", "2"), make_bell(b, "3", "4"))
+            sv = make_strategy("none").declared_systems(a, b)["main"]  # what sessions measure
             worst = max(worst, float(abs(outcome_distribution(sv, "1", "3") - 0.25).max()))
             for m in BELL_ORDER:
                 for measured, remote in ((("1", "3"), ("2", "4")), (("2", "3"), ("1", "4"))):

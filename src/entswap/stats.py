@@ -320,8 +320,11 @@ def monte_carlo(
     same law and each is a pure function of its arguments.
     `eve_key_rate` counts trials where the adversary reconstructed ALL n
     fragments, checked groups included; `key_agreement_rate` counts trials
-    where every honest fragment pair agreed.
+    where every honest fragment pair agreed.  Raises TypeError for a config
+    that is not a ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``.
     """
+    if not isinstance(config, SessionConfig):
+        raise TypeError(f"config must be a SessionConfig, not {config!r}")
     layout = make_strategy(kind)
     if isinstance(trials, bool) or isinstance(seed, bool):
         raise TypeError("trials and seed cannot be bools")

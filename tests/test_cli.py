@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -484,6 +485,63 @@ def test_run_encodes_each_group_once(tmp_path, monkeypatch):
     monkeypatch.setattr(GroupRecord, "to_json_dict", counted)
     assert main(["run", "--groups", "5", "--format", "both", "--out", str(tmp_path / "r.json")]) == EXIT_OK
     assert encoded == list(range(5))
+
+
+REPORT_ARGV = {
+    "run": ["run", "--adversary", "type1", "--groups", "6", "--seed", "4"],
+    "attack": ["attack", "--adversary", "type2", "--groups", "2", "--trials", "40", "--seed", "4"],
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a format that is not written must not be rendered")
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+@pytest.mark.parametrize(
+    "fmt, poisoned",
+    [("csv", [(json, "dump"), (json, "dumps")]), ("json", [(cli.csv, "writer")])],
+    ids=["csv", "json"],
+)
+def test_only_the_written_format_is_rendered(command, fmt, poisoned, tmp_path, monkeypatch):
+    for module, name in poisoned:
+        monkeypatch.setattr(module, name, _refuse)
+    out = tmp_path / f"report.{fmt}"
+    assert main(REPORT_ARGV[command] + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_report_equals_the_out_file(command, fmt, tmp_path, capsys):
+    # the pinned digests cover files only; stdout gets the same writer
+    assert main(REPORT_ARGV[command] + ["--format", fmt]) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / f"report.{fmt}"
+    assert main(REPORT_ARGV[command] + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert printed and printed.encode("utf-8") == out.read_bytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+def test_writing_a_report_adds_little_memory(fmt, tmp_path, capsys):
+    # each report goes straight to its file: no whole-report text is built
+    argv = ["run", "--groups", "2000", "--format", fmt, "--out", str(tmp_path / "report.json")]
+
+    def report_dict():
+        return run_session(SessionConfig(n_groups=2000)).to_json_dict()
+
+    for call in (report_dict, lambda: main(argv)):  # warm the caches first
+        call()
+    assert _traced_peak(lambda: main(argv)) <= 1.5 * _traced_peak(report_dict)
 
 
 def test_cli_byte_determinism(tmp_path):

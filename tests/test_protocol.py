@@ -2,11 +2,12 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from entswap import cli
+from entswap import cli, stats
 from entswap.adversary import make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.protocol import (
@@ -105,6 +106,24 @@ def test_every_config_is_bounded_by_max_groups():
         with pytest.raises(ValueError, match=f"at most {MAX_GROUPS} groups"):
             SessionConfig(n_groups=n)
     assert SessionConfig(n_groups=MAX_GROUPS).n_groups == MAX_GROUPS
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a config that is not a SessionConfig must be refused before any work")
+
+
+def test_only_a_session_config_runs(monkeypatch):
+    # an object with SessionConfig's attributes would skip its MAX_GROUPS bound
+    monkeypatch.setattr("entswap.protocol.declared_pairs", _no_work)
+    monkeypatch.setitem(stats.BACKENDS, "table", _no_work)
+    look_alike = SimpleNamespace(
+        n_groups=2 * MAX_GROUPS, pair_states=AllPhiPlus(), check_fraction=0.5, seed=0, k_checked=1
+    )
+    for bad in (look_alike, "phi+"):
+        with pytest.raises(TypeError, match="config must be a SessionConfig, not"):
+            run_session(bad)
+        with pytest.raises(TypeError, match="config must be a SessionConfig, not"):
+            stats.monte_carlo(bad, "type1", trials=3)
 
 
 def test_k_checked_rounds_up():
