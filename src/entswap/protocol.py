@@ -89,18 +89,29 @@ class RandomKnown:
     seed: int
 
     def __post_init__(self) -> None:
-        # a plain int, as SessionConfig.seed: a bool or float is no seed
-        if isinstance(self.seed, bool):
-            raise TypeError("random pair-state seed cannot be a bool")
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        if self.seed < 0:
-            raise ValueError("random pair-state seed must be non-negative")
+        object.__setattr__(self, "seed", plain_int("random pair-state seed", self.seed))
 
     def describe(self) -> str:
         return f"random:{self.seed}"
 
 
 PairStatePolicy = Union[AllPhiPlus, FixedList, RandomKnown]
+
+
+def plain_int(name: str, value, low: int = 0) -> int:
+    """``value`` as a plain int of at least ``low``: the one rule for counts and seeds.
+
+    A numpy integer becomes an ``int``; a bool (which would pass as 0 or 1),
+    float, string or None raises TypeError, and a value below ``low``
+    raises ValueError naming ``name``.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    value = operator.index(value)
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _bell_state(i: int, state) -> BellIndex:
@@ -123,22 +134,18 @@ class SessionConfig:
     def __post_init__(self) -> None:
         # plain ints and a float: a numpy scalar or a Fraction would reach the
         # report JSON, a float the list sizes, and a bool would pass as 0 or 1
-        if any(isinstance(v, bool) for v in (self.n_groups, self.seed, self.check_fraction)):
-            raise TypeError("n_groups, seed and check_fraction cannot be bools")
-        for name in ("n_groups", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not isinstance(self.check_fraction, numbers.Real):
+        object.__setattr__(self, "n_groups", plain_int("n_groups", self.n_groups, low=1))
+        if self.n_groups > MAX_GROUPS:
+            raise ValueError(f"a session has at least 1 and at most {MAX_GROUPS} groups, got {self.n_groups}")
+        object.__setattr__(self, "seed", plain_int("seed", self.seed))
+        if isinstance(self.check_fraction, bool) or not isinstance(self.check_fraction, numbers.Real):
             raise TypeError(f"check_fraction must be a real number, not {self.check_fraction!r}")
         try:
             object.__setattr__(self, "check_fraction", float(self.check_fraction))
         except OverflowError:  # an int or Fraction beyond float range
             raise ValueError("check_fraction must be in (0, 1]") from None
-        if not 1 <= self.n_groups <= MAX_GROUPS:
-            raise ValueError(f"a session has at least 1 and at most {MAX_GROUPS} groups, got {self.n_groups}")
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError("check_fraction must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if not isinstance(self.pair_states, (AllPhiPlus, FixedList, RandomKnown)):
             raise TypeError(f"not a pair-state policy: {self.pair_states!r}")
         if isinstance(self.pair_states, FixedList) and len(self.pair_states.states) != 2 * self.n_groups:

@@ -29,7 +29,8 @@ as the measurements made on it (at most 1 + 4 + 4 nodes per honest group
 system), and it is freed with its root.  The cache takes no part in
 equality or ``repr``.  A branch below ``MIN_FORCED_PROB`` is rounding
 noise; ``live_outcomes`` lists the rest, the only outcomes ``measure_bell``
-draws and ``project_bell`` conditions on, so no caller restates the bound.
+draws, ``project_bell`` conditions on and ``identify_bell`` names, so no
+caller restates the bound.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .bell import BELL_ORDER, BellIndex
 
 MAX_QUBITS = 12
 NORM_ATOL = 1e-9
-IDENTIFY_ATOL = 1e-9
 MIN_FORCED_PROB = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -243,14 +243,15 @@ def identify_bell(sv: StateVector, qubit_i: str, qubit_j: str) -> BellIndex | No
     """The Bell state the pair is in, or None if it is in no pure Bell state.
 
     Identification ignores global phase: the pair qualifies exactly when
-    one Bell outcome carries the full probability mass, i.e. the reduced
-    pair state has unit overlap with that Bell state.
+    it has one live outcome, so that a Bell measurement of it can give only
+    that outcome, by the ``MIN_FORCED_PROB`` rule of ``measure_bell`` and
+    ``project_bell``.  On every state the layouts build, the other branches
+    of a swapped pair carry ~1e-33.  Only a hand-made state whose other
+    branches hold between ``MIN_FORCED_PROB`` and 1e-9 reads differently
+    from a near-certainty rule at 1e-9: it is in no Bell state here.
     """
-    probs = outcome_distribution(sv, qubit_i, qubit_j)
-    k = int(np.argmax(probs))
-    if probs[k] > 1.0 - IDENTIFY_ATOL:
-        return BELL_ORDER[k]
-    return None
+    live = live_outcomes(sv, qubit_i, qubit_j)
+    return live[0] if len(live) == 1 else None
 
 
 def sample_outcome_ordinals(

@@ -42,7 +42,6 @@ tallies.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +52,7 @@ import numpy as np
 
 from .adversary import make_strategy
 from .bell import BellIndex, Record, swap_partner
-from .protocol import SessionConfig, declared_pairs, run_session
+from .protocol import SessionConfig, declared_pairs, plain_int, run_session
 from .statevector import live_outcomes, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -123,9 +122,11 @@ def joint_table(
     Keys are (alice, bob, *eve) outcome tuples, values their probability.
     The walk follows the session's measurement order on the kind's layout
     and conditions on every live outcome with its Born weight, so only
-    reachable cells appear.  Attacks modeled for phi+ channels only raise
+    reachable cells appear.  A declared state may be given by its ordinal
+    0-3.  Attacks modeled for phi+ channels only raise
     UnsupportedAttackError for any other declared pair.
     """
+    a, b = BellIndex(a), BellIndex(b)  # an ordinal shares its member's cache key
     layout = make_strategy(kind)
     order = layout.session_order()
     # each leaf is (systems, outcomes so far, probability); one step expands every leaf
@@ -210,15 +211,12 @@ def per_group_eve_success(kind: str) -> float | None:
 
 def analytic_detection(kind: str, k_checked: int) -> float:
     """Probability at least one of k checked groups exposes the attack."""
-    if k_checked < 1:
-        raise ValueError("at least one group must be checked")
-    return 1.0 - (1.0 - per_check_mismatch(kind)) ** k_checked
+    return 1.0 - (1.0 - per_check_mismatch(kind)) ** plain_int("k_checked", k_checked, low=1)
 
 
 def analytic_eve_key(kind: str, n_groups: int) -> float | None:
     """Probability the adversary reconstructs the whole 4n-bit string."""
-    if n_groups < 1:
-        raise ValueError("n_groups must be positive")
+    n_groups = plain_int("n_groups", n_groups, low=1)
     per_group = per_group_eve_success(kind)
     if per_group is None:
         return None
@@ -326,13 +324,7 @@ def monte_carlo(
     if not isinstance(config, SessionConfig):
         raise TypeError(f"config must be a SessionConfig, not {config!r}")
     layout = make_strategy(kind)
-    if isinstance(trials, bool) or isinstance(seed, bool):
-        raise TypeError("trials and seed cannot be bools")
-    trials, seed = operator.index(trials), operator.index(seed)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    trials, seed = plain_int("trials", trials, low=1), plain_int("seed", seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
     detections, agreements, eve_hits, counts = BACKENDS[backend](config, kind, trials, seed)
@@ -376,40 +368,34 @@ def efficiency_report(n_groups: int, check_fraction: float) -> EfficiencyReport:
     two bits per pair is the draw.
     """
     config = SessionConfig(n_groups=n_groups, check_fraction=check_fraction)
-    k = config.k_checked
+    n, k = config.n_groups, config.k_checked
     return EfficiencyReport(
-        n_groups=n_groups,
+        n_groups=n,
         k_checked=k,
         raw_bits_per_group=4.0,
         raw_bits_per_particle=1.0,
-        net_bits_per_particle=1.0 - k / n_groups,
+        net_bits_per_particle=1.0 - k / n,
         reference_bits_per_pair={"this_scheme_raw": 2.0, "bb84": 1.0, "b92": 0.5},
     )
 
 
-SWEEP_CSV_HEADER = (
-    "strategy",
-    "n_groups",
-    "k_checked",
-    "trials",
-    "detection_rate",
-    "ci",
-    "analytic",
-    "eve_key_rate",
-    "agreement_rate",
+# (header name, cell of an MCReport) per sweep.csv column; `ci` is the Wilson
+# half-width on detection
+_SWEEP_COLUMNS = (
+    ("strategy", lambda r: r.strategy),
+    ("n_groups", lambda r: str(r.n_groups)),
+    ("k_checked", lambda r: str(r.k_checked)),
+    ("trials", lambda r: str(r.trials)),
+    ("detection_rate", lambda r: f"{r.detection_rate:.6f}"),
+    ("ci", lambda r: f"{half_width(r.detection_interval):.6f}"),
+    ("analytic", lambda r: f"{r.analytic_detection:.6f}"),
+    ("eve_key_rate", lambda r: "" if r.eve_key_rate is None else f"{r.eve_key_rate:.6f}"),
+    ("agreement_rate", lambda r: f"{r.key_agreement_rate:.6f}"),
 )
+
+SWEEP_CSV_HEADER = tuple(name for name, _ in _SWEEP_COLUMNS)
 
 
 def sweep_csv_row(report: MCReport) -> list[str]:
-    """One CSV row per batch; `ci` is the Wilson half-width on detection."""
-    return [
-        report.strategy,
-        str(report.n_groups),
-        str(report.k_checked),
-        str(report.trials),
-        f"{report.detection_rate:.6f}",
-        f"{half_width(report.detection_interval):.6f}",
-        f"{report.analytic_detection:.6f}",
-        "" if report.eve_key_rate is None else f"{report.eve_key_rate:.6f}",
-        f"{report.key_agreement_rate:.6f}",
-    ]
+    """One CSV row per batch, one cell per ``SWEEP_CSV_HEADER`` column."""
+    return [cell(report) for _, cell in _SWEEP_COLUMNS]

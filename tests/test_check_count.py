@@ -1,5 +1,9 @@
 """The number of checked groups is exact for every fraction a user or sweep passes."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entswap import protocol
 from entswap.protocol import SessionConfig
 
 MAX_GROUPS = 100
@@ -33,3 +37,19 @@ def test_check_count_examples():
     assert _k(6, 5 / 6) == 5
     assert _k(4, 0.01) == 1
     assert _k(7, 1.0) == 7
+
+
+@st.composite
+def _shape(draw) -> tuple[int, int, int]:
+    n = draw(st.integers(1, protocol.MAX_GROUPS))
+    q = draw(st.integers(1, protocol.MAX_GROUPS))
+    return n, draw(st.integers(1, q)), q
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(shape=_shape())
+def test_check_count_is_exact_at_every_session_size(shape):
+    # the float p / q stands for the ratio p:q, as a user or sweep means it; its own
+    # exact value may exceed p / q (0.1 does), so Fraction(p / q) is not the reference
+    n, p, q = shape
+    assert _k(n, p / q) == max(1, -(-p * n // q))

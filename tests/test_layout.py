@@ -158,6 +158,28 @@ def test_eve_position_leaves_the_joint_table_alone(kind, monkeypatch):
     assert all(abs(moved[cell] - p) <= 1e-12 for cell, p in expected.items())
 
 
+def _fresh_tables(kind, a, b):
+    joint_table.cache_clear()
+    class_table.cache_clear()
+    return dict(joint_table(kind, a, b)), class_table(kind, a, b)
+
+
+@pytest.mark.parametrize(
+    "kind, a, b", [("none", PHI, PHI), ("none", BELL_ORDER[1], BELL_ORDER[2]), ("type2", PHI, PHI)]
+)
+def test_tables_take_a_declared_state_by_its_ordinal(kind, a, b):
+    # an ordinal and its member are one cache key, so whichever comes first must not matter
+    by_ordinal = _fresh_tables(kind, a.ordinal, b.ordinal)
+    by_member = _fresh_tables(kind, a, b)
+    assert by_ordinal[0] == by_member[0]
+    assert all(type(outcome) is BellIndex for cell in by_ordinal[0] for outcome in cell)
+    for name in ("mismatch", "eve_ok", "probs", "alice"):
+        assert np.array_equal(getattr(by_ordinal[1], name), getattr(by_member[1], name)), name
+    for fn in (joint_table, class_table):
+        with pytest.raises(ValueError):
+            fn(kind, 4, b)
+
+
 def test_unknown_kind_raises():
     for fn in (joint_table, per_check_mismatch, per_group_eve_success, make_strategy):
         with pytest.raises(ValueError):

@@ -88,6 +88,32 @@ def test_pair_state_policies_are_checked_where_they_are_built():
             SessionConfig(n_groups=1, pair_states=bad)
 
 
+# (name in the error, least value, call that takes the value and returns it as used)
+_WHOLE_NUMBER_INPUTS = {
+    "SessionConfig.n_groups": ("n_groups", 1, lambda v: SessionConfig(n_groups=v).n_groups),
+    "SessionConfig.seed": ("seed", 0, lambda v: SessionConfig(n_groups=1, seed=v).seed),
+    "RandomKnown.seed": ("pair-state seed", 0, lambda v: RandomKnown(v).seed),
+    "monte_carlo.trials": ("trials", 1, lambda v: stats.monte_carlo(SessionConfig(1), trials=v).trials),
+    "monte_carlo.seed": ("seed", 0, lambda v: stats.monte_carlo(SessionConfig(1), trials=2, seed=v).seed),
+    "analytic_detection.k_checked": ("k_checked", 1, lambda v: stats.analytic_detection("type2", v)),
+    "analytic_eve_key.n_groups": ("n_groups", 1, lambda v: stats.analytic_eve_key("type1", v)),
+}
+
+
+@pytest.mark.parametrize("entry", _WHOLE_NUMBER_INPUTS)
+def test_every_count_and_seed_is_a_whole_number(entry):
+    name, low, call = _WHOLE_NUMBER_INPUTS[entry]
+    # a numpy integer is used as the plain int it equals, so nothing numpy reaches a report
+    want = call(3)
+    got = call(np.int64(3))
+    assert got == want and type(got) is type(want) and type(want) in (int, float)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError):
+            call(bad)
+    with pytest.raises(ValueError, match=name):
+        call(low - 1)
+
+
 def test_run_session_checks_its_own_inputs(monkeypatch):
     # both checks come before any state is paired
     monkeypatch.setattr("entswap.protocol.declared_pairs", None)

@@ -105,6 +105,7 @@ def test_every_config_that_constructs_gives_plain_json_reports(inputs):
     except (ValueError, TypeError):
         return
     event("constructs")
+    _assert_plain_json(efficiency_report(inputs["n_groups"], inputs["check_fraction"]).to_json_dict())
     for kind in STRATEGY_KINDS:
         try:
             session = run_session(config, make_strategy(kind))
