@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .adversary import STRATEGY_KINDS, UnsupportedAttackError, make_strategy
@@ -41,7 +41,7 @@ from .protocol import (
     MAX_GROUPS, AllPhiPlus, FixedList, PairStatePolicy, RandomKnown, SessionConfig, run_session
 )
 from .statevector import identify_bell, outcome_distribution, project_bell
-from .stats import SWEEP_CSV_HEADER, joint_table, monte_carlo, sweep_csv_row
+from .stats import SWEEP_CSV_HEADER, joint_table, monte_carlo, monte_carlo_sweep, sweep_csv_row
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -318,24 +318,19 @@ def cmd_attack(options: CliConfig) -> int:
 
 
 def cmd_sweep(options: CliConfig) -> int:
-    """One batch per k = 1..k_checked; CSV summary plus per-point JSON."""
-    n, seed = options.session.n_groups, options.session.seed
-    k_max = options.session.k_checked
+    """One batch per k = 1..k_checked, drawn as one sweep; CSV summary plus per-point JSON."""
+    session, k_max = options.session, options.session.k_checked
     os.makedirs(options.out, exist_ok=True)
-    rows = []
-    for k in range(1, k_max + 1):
-        # fraction chosen so the check count lands exactly on k
-        session = replace(options.session, check_fraction=(k - 0.5) / n)
-        report = monte_carlo(session, kind=options.adversary, trials=options.trials, seed=seed)
-        rows.append(sweep_csv_row(report))
-        point_path = os.path.join(options.out, f"{options.adversary}_k{k}.json")
+    reports = monte_carlo_sweep(session, options.adversary, range(1, k_max + 1), options.trials, session.seed)
+    for report in reports:
+        point_path = os.path.join(options.out, f"{options.adversary}_k{report.k_checked}.json")
         _write(point_path, _write_json, report.to_json_dict())
         print(
-            f"sweep: k={k} detection={report.detection_rate:.6f} "
+            f"sweep: k={report.k_checked} detection={report.detection_rate:.6f} "
             f"analytic={report.analytic_detection:.6f}"
         )
     csv_path = os.path.join(options.out, "sweep.csv")
-    _write(csv_path, _write_csv, SWEEP_CSV_HEADER, rows)
+    _write(csv_path, _write_csv, SWEEP_CSV_HEADER, [sweep_csv_row(report) for report in reports])
     print(f"sweep: wrote {csv_path} and {k_max} point files")
     return EXIT_OK
 

@@ -72,7 +72,8 @@ class FixedList:
     states: tuple[BellIndex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(_bell_state(i, s) for i, s in enumerate(self.states)))
+        states = tuple(declared_state(f"pair state {i}", s) for i, s in enumerate(self.states))
+        object.__setattr__(self, "states", states)
 
     def describe(self) -> str:
         return ",".join(str(s) for s in self.states)
@@ -103,10 +104,10 @@ def plain_int(name: str, value, low: int = 0) -> int:
 
     A numpy integer becomes an ``int``; a bool (which would pass as 0 or 1),
     float, string or None raises TypeError, and a value below ``low``
-    raises ValueError naming ``name``.
+    raises ValueError, each naming ``name``.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not a bool")
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     value = operator.index(value)
     if value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
@@ -114,14 +115,15 @@ def plain_int(name: str, value, low: int = 0) -> int:
     return value
 
 
-def _bell_state(i: int, state) -> BellIndex:
-    """Entry ``i`` of a fixed pair-state list as a Bell state, or ValueError."""
-    try:
-        if isinstance(state, bool):
-            raise TypeError  # True would pass as phi-
-        return BellIndex(operator.index(state))
-    except (TypeError, ValueError):
-        raise ValueError(f"pair state {i} is not a Bell state: {state!r}") from None
+def declared_state(name: str, state) -> BellIndex:
+    """A declared state, a ``BellIndex`` or its ordinal 0-3, as its member.
+
+    A bool (True would pass as phi-), float, bit tuple or anything else
+    raises ValueError naming ``name``.
+    """
+    if isinstance(state, bool) or not hasattr(state, "__index__") or operator.index(state) not in range(4):
+        raise ValueError(f"{name} is not a Bell state: {state!r}")
+    return BellIndex(operator.index(state))
 
 
 @dataclass(frozen=True)

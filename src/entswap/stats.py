@@ -36,7 +36,13 @@ mismatch and missed-guess totals and its own Alice draw directly, with no
 row sums or fancy-index copies.  The generator calls and their order are
 those of the plain multinomial sampler kept in
 ``tests/test_table_backend.py``, so a seeded batch tallies exactly what it
-tallies.
+tallies.  k enters only a chunk's closing hypergeometric draw, so
+``monte_carlo_sweep`` draws the rest once for a whole grid of check counts
+and starts each k's draw from the state they left: each point is the one-k
+batch.  These streams are numpy's ``Generator`` algorithms, which numpy
+does not promise to keep across releases; the pinned digests and
+``tests/test_stream_contract.py`` are verified on numpy 2.4.6 only, and
+other versions are unverified.
 """
 
 from __future__ import annotations
@@ -44,15 +50,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .adversary import make_strategy
 from .bell import BellIndex, Record, swap_partner
-from .protocol import SessionConfig, declared_pairs, plain_int, run_session
+from .protocol import SessionConfig, declared_pairs, declared_state, plain_int, run_session
 from .statevector import live_outcomes, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -113,7 +119,23 @@ def uniformity_test(counts) -> tuple[float, float]:
     return stat, chi2_sf_3df(stat)
 
 
-@lru_cache(maxsize=None)
+def _per_declared_pair(table):
+    """``table(kind, a, b)``, cached, with each declared state checked by
+    ``protocol.declared_state`` and made its ``BellIndex`` member before the
+    lookup: True, 1.0 and 1 hash alike, so a check inside the cached body
+    would not run once 1 is cached, and an ordinal and its member share one
+    entry.  ``__wrapped__`` is the uncached body."""
+    cached = lru_cache(maxsize=None)(table)
+
+    @wraps(table)
+    def lookup(kind: str, a=_PHI, b=_PHI):
+        return cached(kind, declared_state("declared state a", a), declared_state("declared state b", b))
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_per_declared_pair
 def joint_table(
     kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI
 ) -> Mapping[tuple[BellIndex, ...], float]:
@@ -126,7 +148,6 @@ def joint_table(
     0-3.  Attacks modeled for phi+ channels only raise
     UnsupportedAttackError for any other declared pair.
     """
-    a, b = BellIndex(a), BellIndex(b)  # an ordinal shares its member's cache key
     layout = make_strategy(kind)
     order = layout.session_order()
     # each leaf is (systems, outcomes so far, probability); one step expands every leaf
@@ -162,7 +183,7 @@ class ClassTable:
     alice: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@_per_declared_pair
 def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTable:
     """The (mismatch, eve_ok) classes of ``joint_table(kind, a, b)``."""
     layout = make_strategy(kind)
@@ -186,6 +207,7 @@ def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTab
     return ClassTable(**fields)
 
 
+@lru_cache(maxsize=None)  # every report of the kind reads it
 def per_check_mismatch(kind: str) -> float:
     """Probability one CHECKED group's fragments disagree.
 
@@ -196,6 +218,7 @@ def per_check_mismatch(kind: str) -> float:
     return float(table.probs[table.mismatch].sum())
 
 
+@lru_cache(maxsize=None)  # every report of the kind reads it
 def per_group_eve_success(kind: str) -> float | None:
     """Probability the adversary reconstructs one group's fragment.
 
@@ -253,13 +276,19 @@ def chunk_sizes(trials: int) -> Iterator[int]:
 Tally = tuple[int, int, int, np.ndarray]
 
 
-def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
-    """Sample each trial's class counts per declared pair, chunk by chunk."""
+def _table_sweep(config: SessionConfig, kind: str, trials: int, seed: int, ks: tuple[int, ...]) -> tuple:
+    """Sample each trial's class counts per declared pair, chunk by chunk,
+    once for every check count in ``ks``.
+
+    Only the closing hypergeometric draw of a chunk depends on k.  Each k's
+    draw starts from the generator state the class draws left, so it reads
+    exactly the stream of a one-k batch.  Returns one detection count per k,
+    then the agreements, Eve's hits and Alice's tallies all k share.
+    """
     pairs = Counter(declared_pairs(config))
     tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
     can_mismatch = any(table.mismatch.any() for _, table in tables)
-    n, k = config.n_groups, config.k_checked
-    detections = agreements = eve_hits = 0
+    detections, agreements, eve_hits = [0] * len(ks), 0, 0
     counts = np.zeros(4, dtype=np.int64)
     for c, size in enumerate(chunk_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
@@ -275,10 +304,20 @@ def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Ta
                 # given the class counts, Alice's outcomes are independent per group
                 counts += rng.multinomial(int(column.sum()), alice)
         if can_mismatch:
-            detections += np.count_nonzero(rng.hypergeometric(mismatched, n - mismatched, k))
+            drawn, matched = rng.bit_generator.state, config.n_groups - mismatched
+            for i, k in enumerate(ks):
+                rng.bit_generator.state = drawn
+                detections[i] += np.count_nonzero(rng.hypergeometric(mismatched, matched, k))
         agreements += size - np.count_nonzero(mismatched)
         eve_hits += size - np.count_nonzero(missed)
-    return int(detections), int(agreements), int(eve_hits), counts  # np.count_nonzero gives numpy ints
+    # np.count_nonzero gives numpy ints
+    return [int(d) for d in detections], int(agreements), int(eve_hits), counts
+
+
+def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
+    """The table sampler at the one check count ``config.k_checked``."""
+    (detections,), *shared = _table_sweep(config, kind, trials, seed, (config.k_checked,))
+    return (detections, *shared)
 
 
 def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
@@ -321,18 +360,47 @@ def monte_carlo(
     where every honest fragment pair agreed.  Raises TypeError for a config
     that is not a ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``.
     """
-    if not isinstance(config, SessionConfig):
-        raise TypeError(f"config must be a SessionConfig, not {config!r}")
-    layout = make_strategy(kind)
-    trials, seed = plain_int("trials", trials, low=1), plain_int("seed", seed)
+    trials, seed = _batch_args(config, kind, trials, seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
-    detections, agreements, eve_hits, counts = BACKENDS[backend](config, kind, trials, seed)
-    has_eve = layout.guess is not None
+    tally = BACKENDS[backend](config, kind, trials, seed)
+    return _mc_report(config, kind, config.k_checked, trials, seed, *tally)
+
+
+def monte_carlo_sweep(
+    config: SessionConfig, kind: str, ks: Iterable[int], trials: int, seed: int
+) -> list[MCReport]:
+    """One table-backend report per check count in ``ks``, each equal to
+    ``monte_carlo`` of ``config`` at that k with the same trials and seed.
+
+    The class counts, agreements, Eve's hits and Alice's tallies are drawn
+    once per chunk for the whole grid; only each k's hypergeometric draw is
+    its own.  Every k is a whole number in [1, ``config.n_groups``].
+    """
+    trials, seed = _batch_args(config, kind, trials, seed)
+    ks = tuple(plain_int("k_checked", k, low=1) for k in ks)
+    if not ks or max(ks) > config.n_groups:
+        raise ValueError(f"a sweep needs check counts in [1, {config.n_groups}], got {ks}")
+    detections, *shared = _table_sweep(config, kind, trials, seed, ks)
+    return [_mc_report(config, kind, k, trials, seed, d, *shared) for k, d in zip(ks, detections)]
+
+
+def _batch_args(config: SessionConfig, kind: str, trials: int, seed: int) -> tuple[int, int]:
+    """The checked (trials, seed) of a batch, after its config and kind."""
+    if not isinstance(config, SessionConfig):
+        raise TypeError(f"config must be a SessionConfig, not {config!r}")
+    make_strategy(kind)
+    return plain_int("trials", trials, low=1), plain_int("seed", seed)
+
+
+def _mc_report(config, kind, k, trials, seed, detections, agreements, eve_hits, counts) -> MCReport:
+    """The report of a batch of ``trials`` sessions of ``config`` with k checked
+    groups, from its ``Tally``."""
+    has_eve = make_strategy(kind).guess is not None
     return MCReport(
         strategy=kind,
         n_groups=config.n_groups,
-        k_checked=config.k_checked,
+        k_checked=k,
         trials=trials,
         seed=seed,
         detection_rate=detections / trials,
@@ -341,7 +409,7 @@ def monte_carlo(
         eve_key_interval=wilson_interval(eve_hits, trials) if has_eve else None,
         key_agreement_rate=agreements / trials,
         outcome_counts=tuple(int(c) for c in counts),
-        analytic_detection=analytic_detection(kind, config.k_checked),
+        analytic_detection=analytic_detection(kind, k),
         analytic_eve_key=analytic_eve_key(kind, config.n_groups),
     )
 

@@ -180,6 +180,16 @@ def test_tables_take_a_declared_state_by_its_ordinal(kind, a, b):
             fn(kind, 4, b)
 
 
+@pytest.mark.parametrize("fn", [joint_table, class_table], ids=lambda fn: fn.__name__)
+def test_tables_refuse_a_declared_state_that_only_hashes_like_one(fn):
+    # True == 1.0 == 1 hash alike, so a check behind the cache would never see them
+    cached = fn("none", 1, 1)
+    assert fn("none", BellIndex.PHI_MINUS, BellIndex.PHI_MINUS) is cached  # one entry per state
+    for a, b, bad in [(True, 1.0, "a"), (1, 1.0, "b"), (1, True, "b"), ((1, 0), 0, "a"), (0, (0, 0), "b")]:
+        with pytest.raises(ValueError, match=f"declared state {bad} is not a Bell state"):
+            fn("none", a, b)
+
+
 def test_unknown_kind_raises():
     for fn in (joint_table, per_check_mismatch, per_group_eve_success, make_strategy):
         with pytest.raises(ValueError):

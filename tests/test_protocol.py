@@ -97,6 +97,15 @@ _WHOLE_NUMBER_INPUTS = {
     "monte_carlo.seed": ("seed", 0, lambda v: stats.monte_carlo(SessionConfig(1), trials=2, seed=v).seed),
     "analytic_detection.k_checked": ("k_checked", 1, lambda v: stats.analytic_detection("type2", v)),
     "analytic_eve_key.n_groups": ("n_groups", 1, lambda v: stats.analytic_eve_key("type1", v)),
+    "monte_carlo_sweep.ks": (
+        "k_checked", 1, lambda v: stats.monte_carlo_sweep(SessionConfig(4), "type2", [v], 2, 0)[0].k_checked
+    ),
+    "monte_carlo_sweep.trials": (
+        "trials", 1, lambda v: stats.monte_carlo_sweep(SessionConfig(1), "none", [1], v, 0)[0].trials
+    ),
+    "monte_carlo_sweep.seed": (
+        "seed", 0, lambda v: stats.monte_carlo_sweep(SessionConfig(1), "none", [1], 2, v)[0].seed
+    ),
 }
 
 
@@ -107,8 +116,9 @@ def test_every_count_and_seed_is_a_whole_number(entry):
     want = call(3)
     got = call(np.int64(3))
     assert got == want and type(got) is type(want) and type(want) in (int, float)
-    for bad in (True, 2.0, "3"):
-        with pytest.raises(TypeError):
+    # refused by name: "k_checked must be an integer, not float"
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, not {type(bad).__name__}$"):
             call(bad)
     with pytest.raises(ValueError, match=name):
         call(low - 1)

@@ -6,7 +6,8 @@ tables the sampler draws from must be the marginals of the oracle's joint
 tables, and a batch's working set must stay bounded by the chunk size.
 The sampler must also make the same generator calls as a plain
 multinomial sampler, kept here as the reference, so a seeded batch does not
-depend on how the class counts are drawn.
+depend on how the class counts are drawn.  A sweep over a grid of check
+counts must give, at each k, the one-k batch's report exactly.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 from entswap.adversary import LAYOUTS, STRATEGY_KINDS, UnsupportedAttackError
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.protocol import AllPhiPlus, FixedList, RandomKnown, SessionConfig, declared_pairs
+from entswap import stats
 from entswap.stats import (
     CHUNK_TRIALS,
     _table_batch,
@@ -26,6 +28,7 @@ from entswap.stats import (
     half_width,
     joint_table,
     monte_carlo,
+    monte_carlo_sweep,
     wilson_interval,
 )
 
@@ -193,3 +196,50 @@ def test_table_sampler_matches_the_multinomial_reference(kind, policy, fraction)
         want = _reference_table_batch(config, kind, trials, seed)
         assert got[:3] == want[:3], (trials, got, want)
         assert got[3].tolist() == want[3].tolist()
+
+
+@pytest.mark.parametrize("trials", [7, CHUNK_TRIALS + 3])
+@pytest.mark.parametrize(
+    "kind, policy",
+    [
+        pytest.param(kind, policy, id=f"{kind}-{policy.describe()}")
+        for kind, policies in SAMPLER_POLICIES.items()
+        for policy in policies
+    ],
+)
+def test_each_sweep_point_is_the_one_k_batch(kind, policy, trials):
+    # a sweep draws each chunk's class counts once for the whole grid; the bigger
+    # trial count runs two chunks, so the hypergeometric draws restart per chunk
+    n = 5
+    points = monte_carlo_sweep(SessionConfig(n, policy), kind, range(1, n + 1), trials, 8)
+    assert [point.k_checked for point in points] == list(range(1, n + 1))
+    for k, point in enumerate(points, 1):
+        # == on the dataclass: every field, the float rates and intervals included
+        assert point == monte_carlo(SessionConfig(n, policy, check_fraction=k / n), kind, trials, 8), k
+
+
+def test_a_sweep_point_does_not_depend_on_the_rest_of_the_grid():
+    config = SessionConfig(n_groups=6)
+    alone = monte_carlo_sweep(config, "type3", [4], 300, 2)
+    assert monte_carlo_sweep(config, "type3", (6, 4, 1, 4), 300, 2)[1::2] == alone * 2
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a bad sweep must be refused before any sampling")
+
+
+@pytest.mark.parametrize(
+    "config, ks, error, match",
+    [
+        ("phi+", [1], TypeError, "config must be a SessionConfig"),
+        (SessionConfig(n_groups=4), [], ValueError, "check counts in \\[1, 4\\]"),
+        (SessionConfig(n_groups=4), [1, 0], ValueError, "k_checked must be at least 1"),
+        (SessionConfig(n_groups=4), [1, 5], ValueError, "check counts in \\[1, 4\\]"),
+        (SessionConfig(n_groups=4), [True], TypeError, "k_checked must be an integer, not bool"),
+    ],
+    ids=["not-a-config", "empty", "zero", "above-n", "bool"],
+)
+def test_a_sweep_refuses_bad_arguments_before_any_work(monkeypatch, config, ks, error, match):
+    monkeypatch.setattr(stats, "_table_sweep", _no_work)
+    with pytest.raises(error, match=match):
+        monte_carlo_sweep(config, "type2", ks, 10, 0)
