@@ -34,6 +34,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .adversary import STRATEGY_KINDS, UnsupportedAttackError, make_strategy
 from .bell import BELL_ORDER, BellIndex, bell_by_name, swap_partner
@@ -62,6 +63,9 @@ _DEFAULTS = {
 }
 
 _DIST_ATOL = 1e-9
+
+# encoder tokens per report write: a few tens of kB
+_JSON_BATCH = 1 << 13
 
 
 class CliUsageError(Exception):
@@ -167,9 +171,7 @@ def parse_config_file(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliUsageError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in _DEFAULTS:
             raise CliUsageError(f"line {lineno}: unknown key {key!r}")
         if not value:
@@ -250,7 +252,12 @@ def resolve_options(args: argparse.Namespace) -> CliConfig:
 
 
 def _write_json(handle, payload: dict) -> None:
-    json.dump(payload, handle, indent=2)
+    """``json.dump(payload, handle, indent=2)`` and a newline, with the encoder's
+    tokens joined ``_JSON_BATCH`` at a time: one write per token is one system
+    call on an unbuffered stdout."""
+    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(tokens, _JSON_BATCH)):
+        handle.write(batch)
     handle.write("\n")
 
 

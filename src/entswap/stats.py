@@ -24,17 +24,19 @@ pair, detection from a hypergeometric draw of the checked subset, and
 Alice's outcome tallies per class.  That is the session path's exact joint
 law, for every kind alike, with no statevector touched once the tables are
 built.  Trials run in chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from
-``SeedSequence(seed, spawn_key=(c,))``, so memory stays bounded whatever
-``trials`` is; it grows with ``n_groups``, which ``protocol.MAX_GROUPS``
-bounds.  ``"statevector"`` runs one full session per trial, trial ``t``
-reseeded from ``(seed, t)``; it is the reference the table backend is
-checked against in law.
+``SeedSequence(seed, spawn_key=(c,))``.  A batch's chunks run at the same
+time on up to one thread per CPU the process may use; their tallies are
+summed, so a result does not depend on the CPU count.  Memory is one
+chunk's working set per worker whatever ``trials`` is; it grows with
+``n_groups``, which ``protocol.MAX_GROUPS`` bounds.  ``"statevector"``
+runs one full session per trial, trial ``t`` reseeded from ``(seed, t)``;
+it is the reference the table backend is checked against in law.
 
 A pair's class counts are one ``rng.multinomial(n_pair, probs, size)``
 call, read column by column: each class's trial-indexed counts feed the
-mismatch and missed-guess totals and its own Alice draw directly, with no
-row sums or fancy-index copies.  The generator calls and their order are
-those of the plain multinomial sampler kept in
+mismatch counts, the missed-guess mask and its own Alice draw directly,
+with no row sums or fancy-index copies.  The generator calls and their
+order are those of the plain multinomial sampler kept in
 ``tests/test_table_backend.py``, so a seeded batch tallies exactly what it
 tallies.  k enters only a chunk's closing hypergeometric draw, so
 ``monte_carlo_sweep`` draws the rest once for a whole grid of check counts
@@ -48,9 +50,11 @@ other versions are unverified.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -63,7 +67,8 @@ from .statevector import live_outcomes, project_bell
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# Trials per table-backend chunk: bounds a batch's working set at a few MB.
+# Trials per table-backend chunk: a worker's working set is one chunk's, a few MB
+# at most; chunks run on up to one thread per CPU, with the same tallies at any count.
 CHUNK_TRIALS = 1 << 16
 
 _PHI = BellIndex.PHI_PLUS
@@ -280,38 +285,97 @@ def _table_sweep(config: SessionConfig, kind: str, trials: int, seed: int, ks: t
     """Sample each trial's class counts per declared pair, chunk by chunk,
     once for every check count in ``ks``.
 
-    Only the closing hypergeometric draw of a chunk depends on k.  Each k's
-    draw starts from the generator state the class draws left, so it reads
-    exactly the stream of a one-k batch.  Returns one detection count per k,
-    then the agreements, Eve's hits and Alice's tallies all k share.
+    The class tables are built here, on the calling thread; the chunks then
+    run on up to one thread per CPU this process may use (``_run_chunks``).
+    Their tallies are summed, so the result does not depend on the CPU
+    count.  Returns one detection count per k, then the agreements, Eve's
+    hits and Alice's tallies all k share.
     """
     pairs = Counter(declared_pairs(config))
     tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
+    total = _run_chunks(partial(_table_chunk, tables, config.n_groups, ks, seed), trials)
+    return [int(d) for d in total[6:]], int(total[0]), int(total[1]), total[2:6]
+
+
+def _table_chunk(tables, n_groups: int, ks: tuple[int, ...], seed: int, c: int, size: int) -> np.ndarray:
+    """Chunk ``c`` of a batch, ``size`` trials drawn from
+    ``SeedSequence(seed, spawn_key=(c,))``.
+
+    Returns its tallies in one int64 array: the key agreements, Eve's
+    full-key hits, Alice's four outcome tallies in canonical order, then one
+    detection count per k.  Only the closing hypergeometric draw depends on
+    k; each k's draw starts from the generator state the class draws left,
+    so it reads exactly the stream of a one-k batch.  Eve's misses are a
+    bool mask, and the mismatch counts exist only when some class can
+    mismatch.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
     can_mismatch = any(table.mismatch.any() for _, table in tables)
-    detections, agreements, eve_hits = [0] * len(ks), 0, 0
-    counts = np.zeros(4, dtype=np.int64)
-    for c, size in enumerate(chunk_sizes(trials)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        mismatched = np.zeros(size, dtype=np.int64)
-        missed = np.zeros(size, dtype=np.int64)
-        for n_pair, table in tables:
-            columns = rng.multinomial(n_pair, table.probs, size=size).T
-            for column, mismatch, eve_ok, alice in zip(columns, table.mismatch, table.eve_ok, table.alice):
-                if mismatch:
-                    mismatched += column
-                if not eve_ok:
-                    missed += column
-                # given the class counts, Alice's outcomes are independent per group
-                counts += rng.multinomial(int(column.sum()), alice)
-        if can_mismatch:
-            drawn, matched = rng.bit_generator.state, config.n_groups - mismatched
-            for i, k in enumerate(ks):
-                rng.bit_generator.state = drawn
-                detections[i] += np.count_nonzero(rng.hypergeometric(mismatched, matched, k))
-        agreements += size - np.count_nonzero(mismatched)
-        eve_hits += size - np.count_nonzero(missed)
-    # np.count_nonzero gives numpy ints
-    return [int(d) for d in detections], int(agreements), int(eve_hits), counts
+    mismatched = np.zeros(size, dtype=np.int64) if can_mismatch else None
+    missed = np.zeros(size, dtype=bool)
+    counts, detections = np.zeros(4, dtype=np.int64), [0] * len(ks)
+    for n_pair, table in tables:
+        columns = rng.multinomial(n_pair, table.probs, size=size).T
+        for column, mismatch, eve_ok, alice in zip(columns, table.mismatch, table.eve_ok, table.alice):
+            if mismatch:
+                mismatched += column
+            if not eve_ok:
+                np.logical_or(missed, column, out=missed)
+            # given the class counts, Alice's outcomes are independent per group
+            counts += rng.multinomial(int(column.sum()), alice)
+    if can_mismatch:
+        drawn, matched = rng.bit_generator.state, n_groups - mismatched
+        for i, k in enumerate(ks):
+            rng.bit_generator.state = drawn
+            detections[i] = np.count_nonzero(rng.hypergeometric(mismatched, matched, k))
+    agreements = size - np.count_nonzero(mismatched) if can_mismatch else size
+    return np.array([agreements, size - np.count_nonzero(missed), *counts, *detections], dtype=np.int64)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_chunks(chunk, trials: int) -> np.ndarray:
+    """The sum of ``chunk(c, size)`` over the chunks of ``trials``, on one
+    thread per CPU this process may use (``_cpus``), at most one per chunk,
+    the calling thread among them.
+
+    Each worker pulls the next chunk from one shared iterator, under a lock,
+    and folds its result into its own total, so at most one chunk per worker
+    is in flight whatever ``trials`` is.  The first exception stops every
+    worker after its current chunk and is raised here once all are joined.
+    A batch with one worker runs inline: no thread, no lock.
+    """
+    jobs = enumerate(chunk_sizes(trials))
+    workers = min(_cpus(), -(-trials // CHUNK_TRIALS))
+    if workers == 1:
+        return sum(chunk(c, size) for c, size in jobs)
+    lock, totals, errors = threading.Lock(), [], []
+
+    def pull():
+        with lock:
+            return None if errors else next(jobs, None)
+
+    def work() -> None:
+        total = 0
+        try:
+            for c, size in iter(pull, None):
+                total = total + chunk(c, size)
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+        totals.append(total)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
@@ -322,9 +386,7 @@ def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Ta
 
 def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
     """One full statevector session per trial, trial t reseeded from (seed, t)."""
-    detections = 0
-    agreements = 0
-    eve_hits = 0
+    detections = agreements = eve_hits = 0
     counts = np.zeros(4, dtype=np.int64)
     for t in range(trials):
         ss = np.random.SeedSequence(seed, spawn_key=(t,))

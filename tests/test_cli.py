@@ -522,6 +522,31 @@ def test_stdout_report_equals_the_out_file(command, fmt, tmp_path, capsys):
     assert printed and printed.encode("utf-8") == out.read_bytes()
 
 
+class _CountingHandle:
+    """A text handle that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_reports_are_written_in_bounded_batches(monkeypatch):
+    # one write per encoder token made an unbuffered stdout one system call per token
+    handle = _CountingHandle()
+    monkeypatch.setattr(cli.sys, "stdout", handle)
+    assert main(["run", "--groups", "2000"]) == EXIT_OK
+    payload = run_session(SessionConfig(n_groups=2000)).to_json_dict()
+    assert "".join(handle.writes) == json.dumps(payload, indent=2) + "\n"
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+    assert len(handle.writes) <= tokens / cli._JSON_BATCH + 2
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:

@@ -7,9 +7,14 @@ tables, and a batch's working set must stay bounded by the chunk size.
 The sampler must also make the same generator calls as a plain
 multinomial sampler, kept here as the reference, so a seeded batch does not
 depend on how the class counts are drawn.  A sweep over a grid of check
-counts must give, at each k, the one-k batch's report exactly.
+counts must give, at each k, the one-k batch's report exactly.  Chunks run
+on up to one thread per CPU: the tallies must not depend on the worker
+count, a chunk's error must reach the caller, no thread may outlive its
+batch, and memory must stay within one chunk per worker.
 """
 
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -20,6 +25,7 @@ from entswap.adversary import LAYOUTS, STRATEGY_KINDS, UnsupportedAttackError
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.protocol import AllPhiPlus, FixedList, RandomKnown, SessionConfig, declared_pairs
 from entswap import stats
+from entswap.cli import EXIT_INTERNAL, main
 from entswap.stats import (
     CHUNK_TRIALS,
     _table_batch,
@@ -243,3 +249,102 @@ def test_a_sweep_refuses_bad_arguments_before_any_work(monkeypatch, config, ks, 
     monkeypatch.setattr(stats, "_table_sweep", _no_work)
     with pytest.raises(error, match=match):
         monte_carlo_sweep(config, "type2", ks, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, policy",
+    [
+        pytest.param(kind, policy, id=f"{kind}-{policy.describe()}")
+        for kind, policies in SAMPLER_POLICIES.items()
+        for policy in policies
+    ],
+)
+def test_tallies_do_not_depend_on_the_worker_count(kind, policy, monkeypatch):
+    # four chunks, the last partial: inline on one worker, on three threads otherwise
+    config = SessionConfig(n_groups=5, pair_states=policy)
+    tallies = []
+    for workers in (1, 3):
+        monkeypatch.setattr(stats, "_cpus", lambda: workers)
+        detections, agreements, eve_hits, counts = stats._table_sweep(
+            config, kind, 3 * CHUNK_TRIALS + 5, 6, (1, 2, 3)
+        )
+        tallies.append((detections, agreements, eve_hits, counts.tolist()))
+    assert tallies[0] == tallies[1]
+
+
+def test_many_workers_on_tiny_chunks_lose_no_chunk(monkeypatch):
+    # more workers than CPUs, 300 chunks and a short switch interval: a chunk pulled
+    # twice or lost between workers would change the tallies
+    monkeypatch.setattr(stats, "CHUNK_TRIALS", 7)
+    config = SessionConfig(n_groups=3)
+    tallies = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 8):
+            monkeypatch.setattr(stats, "_cpus", lambda: workers)
+            detections, agreements, eve_hits, counts = stats._table_sweep(config, "type2", 2100, 3, (1, 3))
+            tallies.append((detections, agreements, eve_hits, counts.tolist()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert tallies[0] == tallies[1]
+    assert sum(tallies[0][3]) == 3 * 2100
+
+
+def _spy_on_chunks(monkeypatch, workers, fail_on=None):
+    """Run batches on ``workers`` threads; record the live thread count at each
+    chunk, and raise in chunk ``fail_on``."""
+    monkeypatch.setattr(stats, "_cpus", lambda: workers)
+    seen = []
+    chunk = stats._table_chunk
+
+    def spied(tables, n_groups, ks, seed, c, size):
+        seen.append(threading.active_count())
+        if c == fail_on:
+            raise RuntimeError(f"chunk {c} lost its tables")
+        return chunk(tables, n_groups, ks, seed, c, size)
+
+    monkeypatch.setattr(stats, "_table_chunk", spied)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_chunk_error_reaches_the_caller(workers, monkeypatch, capsys):
+    before = threading.active_count()
+    _spy_on_chunks(monkeypatch, workers, fail_on=1)
+    config = SessionConfig(n_groups=2)
+    with pytest.raises(RuntimeError, match="chunk 1 lost its tables"):
+        monte_carlo(config, kind="type2", trials=3 * CHUNK_TRIALS, seed=0)
+    argv = ["attack", "--adversary", "type2", "--groups", "2", "--trials", str(3 * CHUNK_TRIALS)]
+    assert main(argv) == EXIT_INTERNAL
+    assert "chunk 1 lost its tables" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_batch(monkeypatch):
+    before = threading.active_count()
+    seen = _spy_on_chunks(monkeypatch, 3)
+    monte_carlo(SessionConfig(n_groups=3), kind="type3", trials=4 * CHUNK_TRIALS, seed=2)
+    assert len(seen) == 4
+    assert max(seen) > before  # the helper threads ran
+    assert threading.active_count() == before
+
+
+def test_batch_memory_is_one_chunk_per_worker(monkeypatch):
+    # each worker holds one chunk's working set at a time, whatever the chunk count;
+    # 10% slack covers the per-worker totals and the thread objects
+    workers = 2
+    monkeypatch.setattr(stats, "_cpus", lambda: workers)
+    config = SessionConfig(n_groups=16)
+    monte_carlo(config, kind="type1", trials=10, seed=1)  # warm the class table
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(config, kind="type1", trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak(CHUNK_TRIALS)
+    assert peak(4 * CHUNK_TRIALS) <= 1.1 * workers * one_chunk
