@@ -12,11 +12,13 @@ Three attacks are modeled, plus the honest baseline:
   Alice and, separately, pairs with Bob, and swaps on her own halves.
 
 Each kind is one frozen :class:`Layout` in ``LAYOUTS``: the systems of a
-group, the pair Alice, Bob and Eve each measure, the order in which they
-measure, whether the attack needs all-phi+ declared pairs, and Eve's guess
-rule.  Session simulation, the joint outcome tables of
-:mod:`entswap.stats` and the oracle self-check all read that one record, so
-a new attack is one new entry.  A session's adversary is its kind's
+group as data (each its Bell-pair and GHZ factors in kron order, which one
+builder, ``_prepare``, turns into states), the pair Alice, Bob and Eve
+each measure, the order in which they measure, and Eve's guess rule.  Whether
+the attack needs all-phi+ declared pairs is derived from the systems: it does
+when no factor places a declared pair.  Session simulation, the joint outcome
+tables of :mod:`entswap.stats` and the oracle self-check all read that one
+record, so a new attack is one new entry.  A session's adversary is its kind's
 layout: a group's channels are a plain dict of its named systems, and
 :func:`eve_measure` returns Eve's outcomes rather than storing them.
 
@@ -33,8 +35,8 @@ disjoint qubits); ``test_eve_position_leaves_the_joint_table_alone`` in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial, reduce
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -53,6 +55,11 @@ _BOTH_PHASES = tuple((BellIndex((0, parity)), BellIndex((1, parity))) for parity
 # (system name, (qubit label, qubit label)) - one measurable pair.
 Target = tuple[str, tuple[str, str]]
 
+# One factor of a system: a Bell pair (state, (q, q)), where state is a
+# BellIndex or "a"/"b" for the group's declared pair, or ("ghz", (q, q, q)).
+Factor = tuple[BellIndex | str, tuple[str, ...]]
+
+
 class UnsupportedAttackError(ValueError):
     """The attack is only defined for all-phi+ declared channel states."""
 
@@ -61,29 +68,34 @@ class UnsupportedAttackError(ValueError):
 class Layout:
     """One attack's physical layout, under its wire-format ``kind`` tag.
 
-    ``systems`` maps a group's declared pair states to its named physical
-    systems; it is memoized per declared pair, and callers copy the dict
-    before collapsing states in it.  ``order`` names the parties in the
-    order a session lets them measure; Eve measures her ``eve`` targets
-    group by group at her place in it.  ``guess`` lists, from her outcomes
-    for one group, the equally likely guesses of Alice's outcome she picks
-    one from.
+    ``systems`` gives each named physical system of a group as its factors
+    in kron order; ``declared_systems`` builds them per declared pair.
+    ``phi_only`` is derived: true when no factor places a declared pair, so
+    the attack is only modeled for phi+ channels.  ``order`` names the
+    parties in the order a session lets them measure; Eve measures her
+    ``eve`` targets group by group at her place in it.  ``guess`` lists,
+    from her outcomes for one group, the equally likely guesses of Alice's
+    outcome she picks one from.
     """
 
     kind: str
-    systems: Callable[[BellIndex, BellIndex], dict[str, StateVector]]
+    systems: dict[str, tuple[Factor, ...]]
     alice: Target
     bob: Target
     eve: tuple[Target, ...] = ()
     order: tuple[str, ...] = ("alice", "bob")
-    phi_only: bool = False
     guess: Callable[[tuple[BellIndex, ...]], tuple[BellIndex, ...]] | None = None
+    phi_only: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "systems", lru_cache(maxsize=None)(self.systems))
+        declared = {state for factors in self.systems.values() for state, _ in factors} & {"a", "b"}
+        object.__setattr__(self, "phi_only", not declared)
+        # built once per declared pair: a session looks its systems up per group
+        object.__setattr__(self, "_prepared", lru_cache(maxsize=None)(partial(_prepare, self.systems)))
 
     def declared_systems(self, a: BellIndex, b: BellIndex) -> dict[str, StateVector]:
-        """The memoized systems of a group declared as pairs (a, b).
+        """The memoized systems of a group declared as pairs (a, b); callers
+        copy the dict before collapsing states in it.
 
         Raises UnsupportedAttackError when the attack is only modeled for
         phi+ channels and either declared pair is not phi+.
@@ -92,7 +104,7 @@ class Layout:
             raise UnsupportedAttackError(
                 f"{self.kind} is only modeled for phi+ channels, declared ({a}, {b})"
             )
-        return self.systems(a, b)
+        return self._prepared(a, b)
 
     def session_order(self) -> list[tuple[int, Target]]:
         """Every target as (slot, target), in the order a session measures them.
@@ -108,9 +120,20 @@ class Layout:
         return [step for party in self.order for step in steps[party]]
 
 
-def _bell_pairs(a: BellIndex, b: BellIndex, prime: str = "") -> StateVector:
+def _bell_pairs(a: BellIndex | str, b: BellIndex | str, prime: str = "") -> tuple[Factor, Factor]:
     """Pair a on qubits 1-2 and pair b on qubits 3-4, labels suffixed by prime."""
-    return tensor(make_bell(a, "1" + prime, "2" + prime), make_bell(b, "3" + prime, "4" + prime))
+    return (a, ("1" + prime, "2" + prime)), (b, ("3" + prime, "4" + prime))
+
+
+def _prepare(systems: dict[str, tuple[Factor, ...]], a: BellIndex, b: BellIndex) -> dict[str, StateVector]:
+    """Each named system of a group declared as pairs (a, b): its factors'
+    states, tensored in kron order."""
+    states = {"a": a, "b": b}
+
+    def factor(state: BellIndex | str, qubits: tuple[str, ...]) -> StateVector:
+        return make_ghz3(*qubits) if state == "ghz" else make_bell(states.get(state, state), *qubits)
+
+    return {name: reduce(tensor, (factor(*f) for f in factors)) for name, factors in systems.items()}
 
 
 LAYOUTS: dict[str, Layout] = {
@@ -118,13 +141,13 @@ LAYOUTS: dict[str, Layout] = {
     for layout in (
         Layout(
             "none",
-            systems=lambda a, b: {"main": _bell_pairs(a, b)},
+            systems={"main": _bell_pairs("a", "b")},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
         ),
         Layout(
             "type1",
-            systems=lambda a, b: {"main": _bell_pairs(a, b), "eve": _bell_pairs(PHI, PHI, "p")},
+            systems={"main": _bell_pairs("a", "b"), "eve": _bell_pairs(PHI, PHI, "p")},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
             eve=(("eve", ("1p", "3p")),),
@@ -134,28 +157,23 @@ LAYOUTS: dict[str, Layout] = {
         ),
         Layout(
             "type2",
-            systems=lambda a, b: {"main": tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))},
+            systems={"main": (("ghz", ("1", "2", "5")), ("ghz", ("3", "4", "6")))},
             alice=("main", ("1", "3")),
             bob=("main", ("2", "4")),
             eve=(("main", ("5", "6")),),
             order=("alice", "bob", "eve"),
-            phi_only=True,
             # her outcome fixes Alice's parity bit and the XOR of the two
             # phase bits, but not Alice's phase itself: she guesses it
             guess=lambda eve: _BOTH_PHASES[eve[0].parity],
         ),
         Layout(
             "type3",
-            systems=lambda a, b: {
-                "alice_side": _bell_pairs(PHI, PHI),
-                "bob_side": _bell_pairs(PHI, PHI, "p"),
-            },
+            systems={"alice_side": _bell_pairs(PHI, PHI), "bob_side": _bell_pairs(PHI, PHI, "p")},
             alice=("alice_side", ("1", "3")),
             bob=("bob_side", ("2p", "4p")),
             # the pairs Bob will touch first, then Alice's partners
             eve=(("bob_side", ("1p", "3p")), ("alice_side", ("2", "4"))),
             order=("alice", "eve", "bob"),
-            phi_only=True,
             # her Alice-side halves are perfectly correlated with Alice's pair
             guess=lambda eve: (eve[1],),
         ),

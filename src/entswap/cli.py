@@ -163,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(text: str) -> dict[str, str]:
-    """Flat ``key = value`` lines, ``#`` comments; keys mirror flag names."""
+    """Flat ``key = value`` lines, ``#`` comments; keys mirror flag names,
+    each at most once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,13 +178,16 @@ def parse_config_file(text: str) -> dict[str, str]:
             raise CliUsageError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise CliUsageError(f"line {lineno}: empty value for {key!r}")
-        values[key] = value
+        if key in values:
+            raise CliUsageError(f"lines {first_line[key]} and {lineno}: {key!r} is set twice")
+        values[key], first_line[key] = value, lineno
     return values
 
 
 def _config_values(path: str) -> argparse.Namespace:
     """The config file's values, typed and checked by the flags' own actions."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark some editors write is not part of the first key
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

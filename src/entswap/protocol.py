@@ -46,9 +46,9 @@ from .adversary import (
 )
 from .bell import BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
 
-# Upper bound on the groups of every SessionConfig.  A `run` of this many groups
-# takes 1.3-2.9 s and peaks at 98 MB RSS, json or csv (2 CPUs, Python 3.11);
-# a table-backend batch builds an n-entry pair list, and numpy's hypergeometric
+# Upper bound on the groups of every SessionConfig.  CI's "Largest run's cost"
+# step prints the wall time and peak RSS of a `run` of this many groups; a
+# table-backend batch builds an n-entry pair list, and numpy's hypergeometric
 # draw fails outright from 10^9 groups.
 MAX_GROUPS = 100_000
 

@@ -346,12 +346,9 @@ def _run_chunks(chunk, trials: int) -> np.ndarray:
     and folds its result into its own total, so at most one chunk per worker
     is in flight whatever ``trials`` is.  The first exception stops every
     worker after its current chunk and is raised here once all are joined.
-    A batch with one worker runs inline: no thread, no lock.
     """
     jobs = enumerate(chunk_sizes(trials))
     workers = min(_cpus(), -(-trials // CHUNK_TRIALS))
-    if workers == 1:
-        return sum(chunk(c, size) for c, size in jobs)
     lock, totals, errors = threading.Lock(), [], []
 
     def pull():

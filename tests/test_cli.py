@@ -474,6 +474,23 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert f"config file {bad} is not UTF-8 text" in err
 
 
+def test_config_file_that_repeats_a_key_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "twice.cfg"
+    bad.write_text("groups = 4\n# a second thought\ngroups = 8\n")
+    assert main(["run", "--config", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config file {bad}: lines 1 and 3: 'groups' is set twice" in err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("\ufeffgroups = 3\nseed = 5\n".encode("utf-8"))
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["n_groups"] == 3
+    assert payload["config"]["seed"] == 5
+
+
 def test_run_encodes_each_group_once(tmp_path, monkeypatch):
     encoded = []
     encode = GroupRecord.to_json_dict

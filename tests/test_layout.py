@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from entswap import stats
-from entswap.adversary import LAYOUTS, STRATEGY_KINDS, make_strategy
+from entswap.adversary import LAYOUTS, STRATEGY_KINDS, Layout, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
-from entswap.statevector import MIN_FORCED_PROB, outcome_distribution, project_bell
+from entswap.statevector import (
+    MIN_FORCED_PROB,
+    make_bell,
+    make_ghz3,
+    outcome_distribution,
+    project_bell,
+    tensor,
+)
 from entswap.stats import class_table, joint_table, per_check_mismatch, per_group_eve_success
 
 PHI = BellIndex.PHI_PLUS
@@ -67,6 +74,45 @@ SUPPORTED_PAIRS = [
     for b in BELL_ORDER
     if not layout.phi_only or a is b is PHI
 ]
+
+
+def _constructed_systems(kind, a, b):
+    """Each kind's systems for declared pairs (a, b), built state by state."""
+
+    def pairs(x, y, prime=""):
+        return tensor(make_bell(x, "1" + prime, "2" + prime), make_bell(y, "3" + prime, "4" + prime))
+
+    if kind == "none":
+        return {"main": pairs(a, b)}
+    if kind == "type1":
+        return {"main": pairs(a, b), "eve": pairs(PHI, PHI, "p")}
+    if kind == "type2":
+        return {"main": tensor(make_ghz3("1", "2", "5"), make_ghz3("3", "4", "6"))}
+    return {"alice_side": pairs(PHI, PHI), "bob_side": pairs(PHI, PHI, "p")}
+
+
+@pytest.mark.parametrize("kind, a, b", SUPPORTED_PAIRS, ids=str)
+def test_prepared_systems_are_the_constructed_states_bit_for_bit(kind, a, b):
+    systems = LAYOUTS[kind].declared_systems(a, b)
+    expected = _constructed_systems(kind, a, b)
+    assert list(systems) == list(expected)
+    for name, sv in systems.items():
+        assert sv.labels == expected[name].labels, name
+        assert sv.amplitudes.dtype == expected[name].amplitudes.dtype, name
+        assert np.array_equal(sv.amplitudes, expected[name].amplitudes), name
+
+
+def test_phi_only_is_derived_from_the_systems():
+    assert {kind: layout.phi_only for kind, layout in LAYOUTS.items()} == {
+        "none": False,
+        "type1": False,
+        "type2": True,
+        "type3": True,
+    }
+    # a layout that places a declared pair accepts any, whatever kind it came from
+    assert not dataclasses.replace(LAYOUTS["type2"], systems=LAYOUTS["none"].systems).phi_only
+    with pytest.raises(TypeError):
+        Layout("x", systems={}, alice=("main", ("1", "3")), bob=("main", ("2", "4")), phi_only=True)
 
 
 def _reference_joint_table(kind, a, b):
@@ -194,3 +240,37 @@ def test_unknown_kind_raises():
     for fn in (joint_table, per_check_mismatch, per_group_eve_success, make_strategy):
         with pytest.raises(ValueError):
             fn("type4")
+
+
+GUESS_KINDS = [kind for kind, layout in LAYOUTS.items() if layout.guess is not None]
+
+
+def _posteriors(kind):
+    """Eve's outcome tuple -> {Alice's outcome: joint mass}, from the exact table."""
+    posteriors = {}
+    for (alice, _bob, *eve), p in joint_table(kind).items():
+        masses = posteriors.setdefault(tuple(eve), {})
+        masses[alice] = masses.get(alice, 0.0) + p
+    return posteriors
+
+
+def _guesses_are_maximizers(kind, guess):
+    """Whether every guess the rule lists carries the most mass of Alice's outcome."""
+    return all(
+        masses.get(g, 0.0) >= max(masses.values()) - 1e-12
+        for eve, masses in _posteriors(kind).items()
+        for g in guess(eve)
+    )
+
+
+@pytest.mark.parametrize("kind", GUESS_KINDS)
+def test_eve_guess_rule_is_bayes_optimal(kind):
+    assert _guesses_are_maximizers(kind, LAYOUTS[kind].guess)
+    # no rule on her outcomes beats the summed maximum, and hers reaches it
+    best = sum(max(masses.values()) for masses in _posteriors(kind).values())
+    assert abs(best - per_group_eve_success(kind)) <= 1e-12
+
+
+def test_a_suboptimal_guess_rule_fails_the_bayes_check():
+    # type3's Bob-side outcome says nothing about Alice's
+    assert not _guesses_are_maximizers("type3", lambda eve: (eve[0],))
