@@ -54,7 +54,7 @@ class BellIndex(enum.IntEnum):
         return int(self)
 
     def __str__(self) -> str:
-        return _NAMES[self]
+        return BELL_NAMES[self]
 
     # an IntEnum formats as its int; f-strings print the report name
     __format__ = enum.Enum.__format__
@@ -62,8 +62,9 @@ class BellIndex(enum.IntEnum):
 
 BELL_ORDER: tuple[BellIndex, ...] = tuple(BellIndex)
 
-_NAMES = ("phi+", "phi-", "psi+", "psi-")
-_BY_NAME = dict(zip(_NAMES, BELL_ORDER))
+# each state's report name, indexed by its ordinal
+BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
+_BY_NAME = dict(zip(BELL_NAMES, BELL_ORDER))
 
 # Wire codebook: phi+, psi-, psi+, phi- encode as 00, 01, 10, 11.
 _ENCODE = ("00", "11", "10", "01")

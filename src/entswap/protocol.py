@@ -19,10 +19,19 @@ The classical channel is an ordered, reliable, authenticated-but-readable
 message list: an eavesdropper sees every message but cannot forge one.
 Every :class:`Message` goes on the wire as its kind, sender and fields.
 
-Randomness: a session derives two independent child streams from its seed,
-one for the honest parties and one for the adversary, so the mere presence
-of an adversary never perturbs honest sampling.  A whole run is a pure
-function of (config, adversary kind, seed).
+Randomness: a session draws from two independent streams, one for the
+honest parties and one for the adversary, so the mere presence of an
+adversary never perturbs honest sampling.  The honest stream is
+``SeedSequence(seed, spawn_key=(0,))`` and Eve's is ``spawn_key=(1,)``:
+exactly the children ``SeedSequence(seed).spawn(2)`` would give, built
+directly.  A ``seed_seq`` given in place of the seed has its own spawn key
+extended the same way and is never mutated, so a second session from the
+same object repeats the first.  Eve's generator is built only for layouts
+in which she measures.  A whole run is a pure function of (config,
+adversary kind, seed).
+
+Each group's fragments are read from ``FRAGMENT_HALVES``, derived once
+from the swap rule and the codebook.
 """
 
 from __future__ import annotations
@@ -44,13 +53,29 @@ from .adversary import (
     make_strategy,
     measure,
 )
-from .bell import BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
+from .bell import BELL_NAMES, BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
 
 # Upper bound on the groups of every SessionConfig.  CI's "Largest run's cost"
 # step prints the wall time and peak RSS of a `run` of this many groups; a
 # table-backend batch builds an n-entry pair list, and numpy's hypergeometric
 # draw fails outright from 10^9 groups.
 MAX_GROUPS = 100_000
+
+# the pool size of a SeedSequence built from a seed alone; a literal, since
+# reading it from numpy here would load numpy.random (~6 MB) at import
+_DEFAULT_POOL_SIZE = 4
+
+# FRAGMENT_HALVES[a ^ b][o] is (own, peer): the codebook halves of a party that
+# measured o in a group declared (a, b), its own outcome's and the inferred
+# peer's.  swap_partner depends on a and b only through a ^ b.  Alice's fragment
+# is own + peer and Bob's peer + own: Alice's outcome is encoded first.
+FRAGMENT_HALVES: tuple[tuple[tuple[str, str], ...], ...] = tuple(
+    tuple(
+        (fragment[:2], fragment[2:])
+        for fragment in (group_key_fragment(o, swap_partner(x, BellIndex.PHI_PLUS, o)) for o in BELL_ORDER)
+    )
+    for x in BELL_ORDER
+)
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,7 @@ def declared_pairs(config: SessionConfig) -> list[tuple[BellIndex, BellIndex]]:
         states = policy.states
     else:
         rng = np.random.default_rng(policy.seed)
-        states = [BELL_ORDER[i] for i in rng.integers(0, 4, size=2 * config.n_groups)]
+        states = [BELL_ORDER[i] for i in rng.integers(0, 4, size=2 * config.n_groups).tolist()]
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -199,10 +224,10 @@ class GroupRecord:
     def to_json_dict(self) -> dict:
         return {
             "group_index": self.group_index,
-            "pair_a_state": str(self.pair_a_state),
-            "pair_b_state": str(self.pair_b_state),
-            "alice_outcome": str(self.alice_outcome),
-            "bob_outcome": str(self.bob_outcome),
+            "pair_a_state": BELL_NAMES[self.pair_a_state],
+            "pair_b_state": BELL_NAMES[self.pair_b_state],
+            "alice_outcome": BELL_NAMES[self.alice_outcome],
+            "bob_outcome": BELL_NAMES[self.bob_outcome],
             "alice_fragment": self.alice_fragment,
             "bob_fragment": self.bob_fragment,
             "checked": self.checked,
@@ -288,6 +313,13 @@ class SessionReport:
         }
 
 
+def _child_rng(entropy, spawn_key: tuple[int, ...], pool_size: int, i: int) -> np.random.Generator:
+    """A generator on child ``i`` of ``SeedSequence(entropy, spawn_key=spawn_key,
+    pool_size=pool_size).spawn(2)``, built without the parent."""
+    child = np.random.SeedSequence(entropy, spawn_key=spawn_key + (i,), pool_size=pool_size)
+    return np.random.default_rng(child)
+
+
 def run_session(
     config: SessionConfig,
     adversary: Layout | None = None,
@@ -299,9 +331,12 @@ def run_session(
     actually put on the channel lives only in the group channels.  The
     honest stream draws every Alice outcome, then every Bob outcome, then
     the checked subset; Eve's stream draws her outcomes, then her pick of
-    each group's guess.  Raises TypeError for a config that is not a
-    ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``, and for an
-    adversary that is not a ``Layout``.
+    each group's guess.  ``seed_seq``, when given, replaces
+    ``SeedSequence(config.seed)`` as the root of both streams and is not
+    advanced.  Raises TypeError for a config that is not a
+    ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``, for an
+    adversary that is not a ``Layout`` and for a ``seed_seq`` that is not a
+    ``SeedSequence``.
     """
     if not isinstance(config, SessionConfig):
         raise TypeError(f"config must be a SessionConfig, not {config!r}")
@@ -309,9 +344,13 @@ def run_session(
     if not isinstance(adversary, Layout):
         raise TypeError(f"adversary must be a Layout, not {adversary!r}")
     if seed_seq is None:
-        seed_seq = np.random.SeedSequence(config.seed)
-    honest_ss, eve_ss = seed_seq.spawn(2)
-    honest_rng, eve_rng = np.random.default_rng(honest_ss), np.random.default_rng(eve_ss)
+        root = (config.seed, (), _DEFAULT_POOL_SIZE)
+    elif isinstance(seed_seq, np.random.SeedSequence):
+        root = (seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size)
+    else:
+        raise TypeError(f"seed_seq must be a SeedSequence, not {seed_seq!r}")
+    honest_rng = _child_rng(*root, 0)
+    eve_rng = _child_rng(*root, 1) if adversary.eve else None
     pairs = declared_pairs(config)
     channels = corrupt_channels(adversary, pairs)
 
@@ -327,17 +366,16 @@ def run_session(
     # step 5: Bob publishes a random subset of fragments, Alice compares;
     # each party's fragment pairs its outcome with the peer's inferred one
     picked = honest_rng.choice(config.n_groups, size=config.k_checked, replace=False)
-    indices = tuple(sorted(int(i) for i in picked))
+    indices = tuple(sorted(picked.tolist()))
     checked = set(indices)
-    groups = [
-        GroupRecord(
-            i, a, b, alice, bob,
-            group_key_fragment(alice, swap_partner(a, b, alice)),
-            group_key_fragment(swap_partner(a, b, bob), bob),
-            i in checked,
+    groups = []
+    for i, ((a, b), alice, bob) in enumerate(zip(pairs, outcomes["alice"], outcomes["bob"])):
+        halves = FRAGMENT_HALVES[a ^ b]
+        alice_own, alice_peer = halves[alice]
+        bob_own, bob_peer = halves[bob]
+        groups.append(
+            GroupRecord(i, a, b, alice, bob, alice_own + alice_peer, bob_peer + bob_own, i in checked)
         )
-        for i, ((a, b), alice, bob) in enumerate(zip(pairs, outcomes["alice"], outcomes["bob"]))
-    ]
     request = CheckRequest(indices=indices, fragments=tuple(groups[i].bob_fragment for i in indices))
     mismatched = tuple(i for i in indices if groups[i].alice_fragment != groups[i].bob_fragment)
     verdict = VerdictMessage(accept=not mismatched, mismatched_groups=mismatched)

@@ -220,7 +220,8 @@ def measure_bell(
     outcome with probability 1.  Sampling is inverse CDF in canonical order
     and draws exactly one ``rng.random()``.
     """
-    branches = _pair_branches(sv, qubit_i, qubit_j)
+    # a session measures the same prepared systems group after group: look the cache up here
+    branches = sv._branches.get((qubit_i, qubit_j)) or _pair_branches(sv, qubit_i, qubit_j)
     return branches.children[bisect_right(branches.cum, rng.random())]
 
 

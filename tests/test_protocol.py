@@ -1,5 +1,6 @@
 """Five-step session engine: transcripts, keys, determinism."""
 
+import itertools
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,10 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entswap import cli, stats
+from entswap import cli, protocol, stats
 from entswap.adversary import make_strategy
-from entswap.bell import BELL_ORDER, BellIndex, swap_partner
+from entswap.bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
 from entswap.protocol import (
+    FRAGMENT_HALVES,
     MAX_GROUPS,
     AllPhiPlus,
     FixedList,
@@ -311,3 +313,51 @@ def test_custom_seed_sequence_wins_over_config_seed():
     c = run_session(config)
     assert a.to_json_dict() == b.to_json_dict()
     assert a.to_json_dict() != c.to_json_dict()
+
+
+def test_a_seed_sequence_is_not_advanced_by_a_session():
+    # spawning from the caller's sequence once moved it on: a second session drew children (2,), (3,)
+    seed_seq = np.random.SeedSequence(123, spawn_key=(4,))
+    config = SessionConfig(n_groups=6, seed=0)
+    for kind in ("none", "type3"):
+        first = run_session(config, make_strategy(kind), seed_seq)
+        second = run_session(config, make_strategy(kind), seed_seq)
+        assert first.to_json_dict() == second.to_json_dict()
+    assert seed_seq.n_children_spawned == 0
+
+
+def test_the_config_seed_roots_the_streams_as_its_seed_sequence_does():
+    config = SessionConfig(n_groups=6, seed=41)
+    for kind in ("none", "type2"):
+        given = run_session(config, make_strategy(kind), np.random.SeedSequence(41))
+        assert run_session(config, make_strategy(kind)).to_json_dict() == given.to_json_dict()
+
+
+def test_seed_seq_must_be_a_seed_sequence(monkeypatch):
+    monkeypatch.setattr("entswap.protocol.declared_pairs", _no_work)
+    for bad in (123, np.random.default_rng(123), "123"):
+        with pytest.raises(TypeError, match="seed_seq must be a SeedSequence, not"):
+            run_session(SessionConfig(n_groups=2), seed_seq=bad)
+
+
+def test_only_a_layout_where_eve_measures_builds_her_stream(monkeypatch):
+    built = []
+    child_rng = protocol._child_rng
+
+    def record(*args):
+        built.append(args[-1])
+        return child_rng(*args)
+
+    monkeypatch.setattr(protocol, "_child_rng", record)
+    for kind in ("none", "type1", "type2", "type3"):
+        built.clear()
+        run_session(SessionConfig(n_groups=2), make_strategy(kind))
+        assert built == ([0] if kind == "none" else [0, 1]), kind
+
+
+def test_fragment_table_is_the_swap_rule_and_codebook():
+    for a, b, o in itertools.product(BELL_ORDER, repeat=3):
+        own, peer = FRAGMENT_HALVES[a ^ b][o]
+        # o as Alice's outcome, then as Bob's: Alice's outcome is encoded first
+        assert own + peer == group_key_fragment(o, swap_partner(a, b, o))
+        assert peer + own == group_key_fragment(swap_partner(a, b, o), o)

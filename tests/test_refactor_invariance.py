@@ -4,15 +4,23 @@ The expected values were recorded from the enumeration-per-kind code that
 preceded ``adversary.LAYOUTS``.  Session reports and sampled Monte Carlo
 fields must stay byte-identical; analytic values, now marginals of a joint
 outcome table, may only drift in the last few ulps.
+
+The digests of sessions over random and fixed pair states, of sessions given
+their own seed sequence, and of whole statevector Monte Carlo reports were
+recorded from the session that still spawned its two streams with
+``SeedSequence.spawn(2)`` and built every fragment with ``swap_partner`` and
+``group_key_fragment``.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from entswap.adversary import STRATEGY_KINDS, make_strategy
-from entswap.protocol import SessionConfig, run_session
+from entswap.bell import BELL_ORDER
+from entswap.protocol import FixedList, RandomKnown, SessionConfig, run_session
 from entswap.stats import (
     analytic_detection,
     analytic_eve_key,
@@ -33,6 +41,32 @@ SESSION_DIGESTS = {
     ("type2", 16, 0.25): "c6a8180c26f583b09e98fc26f027b83058d4d91128d744eb404a77ee6957315c",
     ("type3", 4, 0.5): "dafa7e9a35dcc1207fc1ba152b914175bfd9d8a46e935c67249f7057f5f537ec",
     ("type3", 16, 0.25): "6369e121403defa1576bae3c831e29e80d613882f01676c21895dc44e4bb5665",
+}
+
+# as SESSION_DIGESTS, for 8 groups at fraction 0.5 over each pair-state policy
+_FIXED = FixedList(tuple(BELL_ORDER[(3 * i + i // 4) % 4] for i in range(16)))
+POLICIES = {"random:99": RandomKnown(seed=99), "fixed": _FIXED}
+POLICY_DIGESTS = {
+    ("none", "random:99"): "45281f41af35d871a64dd5deea31f3556b56bf509630f5ba51bc41e2088da20c",
+    ("none", "fixed"): "94bdbeb4a9392748881bc2edc2e4dd77c65d7c48fa883faeadc79719c7b0fc29",
+    ("type1", "random:99"): "2f9ccebd6fe882ea8f3e3061d5e5dfa8ae2e2a64d4c978cc87ea57146b3bbf75",
+    ("type1", "fixed"): "b2917eba51369ddc7d2489ad0b903c619ba81b306286876235ce7786961a3fc9",
+}
+
+# as SESSION_DIGESTS, for 8 groups at fraction 0.25 given
+# seed_seq=SeedSequence(SESSION_SEED, spawn_key=(5,))
+SEED_SEQ_DIGESTS = {
+    "none": "66074db72f1f8ac60002717a3be6d850ebfa30f47d8201f63e4be8b543bd82b3",
+    "type1": "42f125b94b23d3e2aedbe2d7131299f7219356768564610d63c25187906f6ec1",
+    "type2": "0ea5306d9b58e03065f50e12305e170383c726f5f08565827ee5e061a1b84fb0",
+    "type3": "d222b4ecc5e12de65866f10726d03ef48a7819e685354004e011ee1681315de2",
+}
+
+# sha256 of the whole MC_SAMPLED run's report, json.dumps(..., sort_keys=True)
+MC_DIGESTS = {
+    "type1": "ae7a72afeb3aed70454ef4c4b97dbcaf3754c7c5175a9b8747f44dc778d2c0e9",
+    "type2": "2eafa156a5f24dafe71c83ace997ad963ff15b117bb6af0c7c3a1e7ed97a95d4",
+    "type3": "d1221b14cde0a05a43fd8a2caa2a6e4ff41f8e4bcb8cdc1efd69b94c223414b9",
 }
 
 # monte_carlo(SessionConfig(n_groups=4, check_fraction=0.5), kind, trials=30, seed=314)
@@ -78,6 +112,10 @@ ANALYTIC = {
 TOL = 1e-12
 
 
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def _close(got, want) -> bool:
     if want is None:
         return got is None
@@ -88,8 +126,30 @@ def _close(got, want) -> bool:
 def test_session_reports_are_byte_identical(kind, n, fraction):
     config = SessionConfig(n_groups=n, check_fraction=fraction, seed=SESSION_SEED)
     report = run_session(config, make_strategy(kind))
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == SESSION_DIGESTS[(kind, n, fraction)]
+    assert _digest(report.to_json_dict()) == SESSION_DIGESTS[(kind, n, fraction)]
+
+
+@pytest.mark.parametrize("kind, policy", sorted(POLICY_DIGESTS))
+def test_sessions_over_each_pair_state_policy_are_byte_identical(kind, policy):
+    config = SessionConfig(n_groups=8, pair_states=POLICIES[policy], check_fraction=0.5, seed=SESSION_SEED)
+    report = run_session(config, make_strategy(kind))
+    assert _digest(report.to_json_dict()) == POLICY_DIGESTS[(kind, policy)]
+
+
+@pytest.mark.parametrize("kind", sorted(SEED_SEQ_DIGESTS))
+def test_sessions_given_a_seed_sequence_are_byte_identical(kind):
+    config = SessionConfig(n_groups=8, check_fraction=0.25, seed=SESSION_SEED)
+    seed_seq = np.random.SeedSequence(SESSION_SEED, spawn_key=(5,))
+    report = run_session(config, make_strategy(kind), seed_seq=seed_seq)
+    assert _digest(report.to_json_dict()) == SEED_SEQ_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(MC_DIGESTS))
+def test_statevector_monte_carlo_reports_are_byte_identical(kind):
+    report = monte_carlo(
+        SessionConfig(n_groups=4, check_fraction=0.5), kind=kind, trials=30, seed=314, backend="statevector"
+    )
+    assert _digest(report.to_json_dict()) == MC_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(MC_SAMPLED))

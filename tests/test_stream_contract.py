@@ -69,3 +69,13 @@ def test_generator_stream_is_the_pinned_one(call):
         f"numpy {np.__version__} draws a different stream from {call} than numpy 2.4.6 did; "
         "every seeded report digest would change with it"
     )
+
+
+@pytest.mark.parametrize("pool_size", [4, 8])
+@pytest.mark.parametrize("key", [(), (5,)])
+def test_a_child_built_directly_is_the_spawned_one(key, pool_size):
+    # a session builds the two children of spawn(2) from the parent's entropy and key
+    children = np.random.SeedSequence(SEED, spawn_key=key, pool_size=pool_size).spawn(2)
+    for i, child in enumerate(children):
+        direct = np.random.SeedSequence(SEED, spawn_key=key + (i,), pool_size=pool_size)
+        assert np.array_equal(direct.generate_state(8), child.generate_state(8)), i
