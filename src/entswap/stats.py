@@ -35,13 +35,18 @@ it is the reference the table backend is checked against in law.
 A pair's class counts are one ``rng.multinomial(n_pair, probs, size)``
 call, read column by column: each class's trial-indexed counts feed the
 mismatch counts, the missed-guess mask and its own Alice draw directly,
-with no row sums or fancy-index copies.  The generator calls and their
-order are those of the plain multinomial sampler kept in
-``tests/test_table_backend.py``, so a seeded batch tallies exactly what it
-tallies.  k enters only a chunk's closing hypergeometric draw, so
-``monte_carlo_sweep`` draws the rest once for a whole grid of check counts
-and starts each k's draw from the state they left: each point is the one-k
-batch.  These streams are numpy's ``Generator`` algorithms, which numpy
+with no row sums or fancy-index copies.  A two-class table (``type1``,
+``type3``) draws one ``rng.binomial(n_pair, probs[0], size)`` column
+instead: for two categories that is the draw numpy's multinomial makes, one
+binomial per row (``test_a_two_category_multinomial_is_one_binomial_column``
+in ``tests/test_stream_contract.py``), and class 1's counts, ``n_pair``
+minus that column, feed the tallies in place without an array of their own.
+The generator calls and their order are those of the plain multinomial
+sampler kept in ``tests/test_table_backend.py``, so a seeded batch tallies
+exactly what it tallies.  k enters only a chunk's closing hypergeometric
+draw, so ``monte_carlo_sweep`` draws the rest once for a whole grid of check
+counts and starts each k's draw from the state they left: each point is the
+one-k batch.  These streams are numpy's ``Generator`` algorithms, which numpy
 does not promise to keep across releases; the pinned digests and
 ``tests/test_stream_contract.py`` are verified on numpy 2.4.6 only, and
 other versions are unverified.
@@ -315,6 +320,23 @@ def _table_chunk(tables, n_groups: int, ks: tuple[int, ...], seed: int, c: int, 
     missed = np.zeros(size, dtype=bool)
     counts, detections = np.zeros(4, dtype=np.int64), [0] * len(ks)
     for n_pair, table in tables:
+        if len(table.probs) == 2:
+            # numpy's multinomial makes exactly this draw for two classes, one binomial
+            # per row; class 1's counts, n_pair - first, are never built as an array
+            first = rng.binomial(n_pair, table.probs[0], size=size)
+            if table.mismatch[0]:
+                mismatched += first
+            if table.mismatch[1]:
+                mismatched += n_pair
+                mismatched -= first
+            if not table.eve_ok[0]:
+                np.logical_or(missed, first, out=missed)
+            if not table.eve_ok[1]:
+                np.logical_or(missed, first < n_pair, out=missed)
+            total = int(first.sum())
+            counts += rng.multinomial(total, table.alice[0])
+            counts += rng.multinomial(n_pair * size - total, table.alice[1])
+            continue
         columns = rng.multinomial(n_pair, table.probs, size=size).T
         for column, mismatch, eve_ok, alice in zip(columns, table.mismatch, table.eve_ok, table.alice):
             if mismatch:

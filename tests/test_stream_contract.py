@@ -35,6 +35,7 @@ _DRAWS = {
     "multinomial(n, probs)": lambda rng: rng.multinomial(40, [0.5, 0.25, 0.125, 0.125]),
     "multinomial(n, probs, size)": lambda rng: rng.multinomial(16, [0.5, 0.25, 0.25], size=4),
     "hypergeometric(good, bad, k)": lambda rng: rng.hypergeometric(_MISMATCHED, 16 - _MISMATCHED, 5),
+    "binomial(n, p, size)": lambda rng: rng.binomial(16, 0.75, size=8),
 }
 
 PINNED = {
@@ -50,6 +51,7 @@ PINNED = {
     "multinomial(n, probs)": "f8374329d6afcb32",
     "multinomial(n, probs, size)": "ae371ce4f88a9daa",
     "hypergeometric(good, bad, k)": "35e05619af3a3f44",
+    "binomial(n, p, size)": "5224a0a1476b71ee",
 }
 
 
@@ -79,3 +81,22 @@ def test_a_child_built_directly_is_the_spawned_one(key, pool_size):
     for i, child in enumerate(children):
         direct = np.random.SeedSequence(SEED, spawn_key=key + (i,), pool_size=pool_size)
         assert np.array_equal(direct.generate_state(8), child.generate_state(8)), i
+
+
+# n * min(p, 1 - p) below 30 takes numpy's inversion sampler, above it BTPE
+@pytest.mark.parametrize("n", [16, 1000])
+@pytest.mark.parametrize("p", [0.25, 0.75])
+def test_a_two_category_multinomial_is_one_binomial_column(p, n):
+    # stats draws a two-class table's counts with binomial: for two categories,
+    # multinomial makes one binomial draw of the first per row, and nothing else
+    multi, single = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    assert np.array_equal(multi.multinomial(n, [p, 1 - p], size=64)[:, 0], single.binomial(n, p, size=64))
+    assert multi.bit_generator.state == single.bit_generator.state
+
+
+def test_a_one_category_multinomial_draws_nothing():
+    # so a one-class table needs no branch of its own
+    rng = np.random.default_rng(SEED)
+    before = rng.bit_generator.state
+    assert np.array_equal(rng.multinomial(16, [1.0], size=8), np.full((8, 1), 16))
+    assert rng.bit_generator.state == before

@@ -6,13 +6,16 @@ tables the sampler draws from must be the marginals of the oracle's joint
 tables, and a batch's working set must stay bounded by the chunk size.
 The sampler must also make the same generator calls as a plain
 multinomial sampler, kept here as the reference, so a seeded batch does not
-depend on how the class counts are drawn.  A sweep over a grid of check
+depend on how the class counts are drawn; a two-class table's counts are one
+binomial column, checked chunk by chunk against that reference for every way
+a class can mismatch or miss.  A sweep over a grid of check
 counts must give, at each k, the one-k batch's report exactly.  Chunks run
 on up to one thread per CPU: the tallies must not depend on the worker
 count, a chunk's error must reach the caller, no thread may outlive its
 batch, and memory must stay within one chunk per worker.
 """
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -28,6 +31,7 @@ from entswap import stats
 from entswap.cli import EXIT_INTERNAL, main
 from entswap.stats import (
     CHUNK_TRIALS,
+    ClassTable,
     _table_batch,
     chunk_sizes,
     class_table,
@@ -202,6 +206,69 @@ def test_table_sampler_matches_the_multinomial_reference(kind, policy, fraction)
         want = _reference_table_batch(config, kind, trials, seed)
         assert got[:3] == want[:3], (trials, got, want)
         assert got[3].tolist() == want[3].tolist()
+
+
+def _reference_chunk(tables, n_groups, ks, seed, c, size):
+    """``stats._table_chunk``'s tallies from the plain multinomial draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+    mismatched = np.zeros(size, dtype=np.int64)
+    missed = np.zeros(size, dtype=np.int64)
+    counts = np.zeros(4, dtype=np.int64)
+    for n_pair, table in tables:
+        drawn = rng.multinomial(n_pair, table.probs, size=size)
+        mismatched += drawn[:, table.mismatch].sum(axis=1)
+        missed += drawn[:, ~table.eve_ok].sum(axis=1)
+        for total, alice in zip(drawn.sum(axis=0), table.alice):
+            counts += rng.multinomial(total, alice)
+    state, detections = rng.bit_generator.state, []
+    for k in ks:
+        rng.bit_generator.state = state
+        detections.append(np.count_nonzero(rng.hypergeometric(mismatched, n_groups - mismatched, k)))
+    return [size - np.count_nonzero(mismatched), size - np.count_nonzero(missed), *counts, *detections]
+
+
+def _two_classes(labels, p):
+    """A hand-built two-class table: class i labelled (mismatch, eve_ok) ``labels[i]``."""
+    (m0, ok0), (m1, ok1) = labels
+    alice = np.array([[0.5, 0.25, 0.125, 0.125], [0.1, 0.2, 0.3, 0.4]])
+    return ClassTable(np.array([m0, m1]), np.array([ok0, ok1]), np.array([p, 1 - p]), alice)
+
+
+_LABELS = list(itertools.product([False, True], repeat=2))
+
+
+def _labels_id(labels) -> str:
+    return "/".join(("mismatch" if m else "match") + ("-guessed" if ok else "-missed") for m, ok in labels)
+
+
+@pytest.mark.parametrize("labels", itertools.product(_LABELS, repeat=2), ids=_labels_id)
+def test_a_two_class_chunk_matches_the_multinomial_reference(labels):
+    # supported kinds only label (F,F)/(F,T) and (F,T)/(T,T); here either class may
+    # mismatch or miss. A lone pair of 3 groups, on numpy's inversion binomial, leaves
+    # either class empty often enough to tell each tally apart; then 200 * 0.3 groups
+    # take its BTPE binomial, with a four-class pair between them in the draw order
+    alone = [(3, _two_classes(labels, 0.75))]
+    mixed = alone + [(1, class_table("type2")), (200, _two_classes(labels[::-1], 0.3))]
+    for tables in (alone, mixed):
+        n = sum(n_pair for n_pair, _ in tables)
+        ks = sorted({1, 2, n})
+        for c, size in [(0, 1), (1, 2000)]:
+            got = stats._table_chunk(tables, n, ks, 5, c, size)
+            assert got.tolist() == _reference_chunk(tables, n, ks, 5, c, size), (n, c, size)
+
+
+def test_a_two_class_chunk_holds_one_count_column():
+    # type1's class counts at 16 groups are one int64 binomial column; 25% over it
+    # covers the missed-guess mask (a byte a trial) and the generator, not a second column
+    tables = [(16, class_table("type1"))]
+    stats._table_chunk(tables, 16, (8,), 1, 0, 10)
+    tracemalloc.start()
+    try:
+        stats._table_chunk(tables, 16, (8,), 1, 0, CHUNK_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * CHUNK_TRIALS, peak
 
 
 @pytest.mark.parametrize("trials", [7, CHUNK_TRIALS + 3])
