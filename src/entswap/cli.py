@@ -16,8 +16,10 @@ Exit codes are a stable contract: 0 success/accept, 1 I/O failure,
 (any unexpected exception inside the program, not a user mistake).
 
 Options resolve as: built-in defaults, then the ``--config`` file, then
-explicit flags.  The config file is flat ``key = value`` text whose keys
-mirror the long flag names (``groups = 16``); unknown keys are rejected,
+explicit flags.  One table, ``_OPTIONS``, states each shared option once:
+its flag, its built-in value and its help; ``--help`` shows each built-in
+value from it.  The config file is flat ``key = value`` text whose keys
+are the same names (``groups = 16``); unknown keys are rejected,
 and the flags' own argparse actions type and check its values.
 ``ENTSWAP_SEED`` supplies the seed when ``--seed`` is absent.  All output
 is a deterministic function of the resolved options.
@@ -50,17 +52,6 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
-
-_DEFAULTS = {
-    "groups": 16,
-    "check-fraction": 0.5,
-    "adversary": "none",
-    "trials": 1000,
-    "pair-states": "phi+",
-    "format": "json",
-    "out": None,
-    "seed": None,
-}
 
 _DIST_ATOL = 1e-9
 
@@ -105,6 +96,30 @@ def _pair_states(text: str) -> str:
     return text
 
 
+# The options run, attack and sweep share, in --help order: each one's built-in
+# value (None for none) and its argparse settings.  --help shows the built-in
+# value, and the config file takes the same names as keys.
+_OPTIONS = {
+    "groups": (
+        16, dict(type=_int_in("--groups", 1, MAX_GROUPS), help=f"groups per session, at most {MAX_GROUPS}")
+    ),
+    "check-fraction": (0.5, dict(type=_fraction, help="fraction of groups sacrificed to checking")),
+    "adversary": ("none", dict(choices=STRATEGY_KINDS, help="channel adversary")),
+    "trials": (1000, dict(type=_int_in("--trials", 1), help="Monte Carlo trials")),
+    "seed": (None, dict(type=_int_in("--seed", 0), help="RNG seed (default: $ENTSWAP_SEED, else 0)")),
+    "pair-states": (
+        "phi+",
+        dict(type=_pair_states, help="declared pair states: phi+, random[:SEED] or a comma list of 2n names"),
+    ),
+    "out": (None, dict(help="output file (directory for sweep)")),
+    "format": (
+        "json",
+        dict(choices=("json", "csv", "both"), help="output format for run/attack; sweep always writes both"),
+    ),
+}
+_DEFAULTS = {name: default for name, (default, _) in _OPTIONS.items()}
+
+
 @dataclass(frozen=True)
 class CliConfig:
     session: SessionConfig
@@ -119,28 +134,9 @@ def _options_parser() -> argparse.ArgumentParser:
     """The options run, attack and sweep share, built once.  It also types and
     checks the config file's values, so it raises instead of exiting."""
     shared = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    shared.add_argument(
-        "--groups",
-        type=_int_in("--groups", 1, MAX_GROUPS),
-        help=f"groups per session (default 16, at most {MAX_GROUPS})",
-    )
-    shared.add_argument(
-        "--check-fraction", type=_fraction, help="fraction of groups sacrificed to checking (default 0.5)"
-    )
-    shared.add_argument("--adversary", choices=STRATEGY_KINDS, help="channel adversary (default none)")
-    shared.add_argument("--trials", type=_int_in("--trials", 1), help="Monte Carlo trials (default 1000)")
-    shared.add_argument("--seed", type=_int_in("--seed", 0), help="RNG seed (default: $ENTSWAP_SEED, else 0)")
-    shared.add_argument(
-        "--pair-states",
-        type=_pair_states,
-        help="declared pair states: 'phi+', 'random[:SEED]', or a comma list of 2n names",
-    )
-    shared.add_argument("--out", help="output file (directory for sweep)")
-    shared.add_argument(
-        "--format",
-        choices=("json", "csv", "both"),
-        help="output format for run/attack (default json); sweep always writes both",
-    )
+    for name, (default, settings) in _OPTIONS.items():
+        suffix = "" if default is None else f" (default {default})"
+        shared.add_argument(f"--{name}", **dict(settings, help=settings["help"] + suffix))
     shared.add_argument("--config", help="flat key = value options file")
     return shared
 

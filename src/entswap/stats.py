@@ -14,42 +14,14 @@ Three layers:
 * Monte Carlo drivers that summarize detection, key-agreement, and
   eavesdropper success rates over a batch of trials.
 
-Monte Carlo has two backends.  ``"table"`` (the default) reduces each
-joint table to classes of cells labelled (fragments mismatch, Eve's guess
-right), each of her equally likely guesses taken in turn.  Groups are
-independent product systems and Bob's check subset is uniform and
-independent of the outcomes, so a trial is fully described by how many of
-its groups fall in each class: the batch draws those counts per declared
-pair, detection from a hypergeometric draw of the checked subset, and
-Alice's outcome tallies per class.  That is the session path's exact joint
-law, for every kind alike, with no statevector touched once the tables are
-built.  Trials run in chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from
-``SeedSequence(seed, spawn_key=(c,))``.  A batch's chunks run at the same
-time on up to one thread per CPU the process may use; their tallies are
-summed, so a result does not depend on the CPU count.  Memory is one
-chunk's working set per worker whatever ``trials`` is; it grows with
-``n_groups``, which ``protocol.MAX_GROUPS`` bounds.  ``"statevector"``
-runs one full session per trial, trial ``t`` reseeded from ``(seed, t)``;
-it is the reference the table backend is checked against in law.
-
-A pair's class counts are one ``rng.multinomial(n_pair, probs, size)``
-call, read column by column: each class's trial-indexed counts feed the
-mismatch counts, the missed-guess mask and its own Alice draw directly,
-with no row sums or fancy-index copies.  A two-class table (``type1``,
-``type3``) draws one ``rng.binomial(n_pair, probs[0], size)`` column
-instead: for two categories that is the draw numpy's multinomial makes, one
-binomial per row (``test_a_two_category_multinomial_is_one_binomial_column``
-in ``tests/test_stream_contract.py``), and class 1's counts, ``n_pair``
-minus that column, feed the tallies in place without an array of their own.
-The generator calls and their order are those of the plain multinomial
-sampler kept in ``tests/test_table_backend.py``, so a seeded batch tallies
-exactly what it tallies.  k enters only a chunk's closing hypergeometric
-draw, so ``monte_carlo_sweep`` draws the rest once for a whole grid of check
-counts and starts each k's draw from the state they left: each point is the
-one-k batch.  These streams are numpy's ``Generator`` algorithms, which numpy
-does not promise to keep across releases; the pinned digests and
-``tests/test_stream_contract.py`` are verified on numpy 2.4.6 only, and
-other versions are unverified.
+Monte Carlo has two backends: ``"table"`` (the default) draws each trial's
+class counts from the joint tables, and ``"statevector"`` runs one full
+session per trial as the reference.  README's "Python API" section states
+their streams, seeding, chunking and memory once.  The streams are pinned by
+``tests/test_stream_contract.py`` (each numpy ``Generator`` call, the
+two-class binomial column included), ``tests/test_table_backend.py`` (the
+plain multinomial reference sampler, the one-k sweep points and the worker
+count) and the CLI digests in ``tests/test_cli.py``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Per-attack layouts and the joint outcome tables built from them."""
 
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from entswap.adversary import LAYOUTS, STRATEGY_KINDS, Layout, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, swap_partner
 from entswap.statevector import (
     MIN_FORCED_PROB,
+    live_outcomes,
     make_bell,
     make_ghz3,
     outcome_distribution,
@@ -245,11 +247,12 @@ def test_unknown_kind_raises():
 GUESS_KINDS = [kind for kind, layout in LAYOUTS.items() if layout.guess is not None]
 
 
-def _posteriors(kind):
-    """Eve's outcome tuple -> {Alice's outcome: joint mass}, from the exact table."""
+def _posteriors(kind, with_bob=False):
+    """Eve's outcome tuple, led by Bob's outcome if with_bob -> {Alice's
+    outcome: joint mass}, from the exact table."""
     posteriors = {}
-    for (alice, _bob, *eve), p in joint_table(kind).items():
-        masses = posteriors.setdefault(tuple(eve), {})
+    for (alice, bob, *eve), p in joint_table(kind).items():
+        masses = posteriors.setdefault((bob, *eve) if with_bob else tuple(eve), {})
         masses[alice] = masses.get(alice, 0.0) + p
     return posteriors
 
@@ -274,3 +277,79 @@ def test_eve_guess_rule_is_bayes_optimal(kind):
 def test_a_suboptimal_guess_rule_fails_the_bayes_check():
     # type3's Bob-side outcome says nothing about Alice's
     assert not _guesses_are_maximizers("type3", lambda eve: (eve[0],))
+
+
+@pytest.mark.parametrize("kind", GUESS_KINDS)
+def test_bobs_published_outcome_gives_eve_alices(kind):
+    # a checked group's fragments are published, so there Eve knows Bob's outcome beside hers
+    best = sum(max(masses.values()) for masses in _posteriors(kind, with_bob=True).values())
+    assert abs(best - 1.0) <= 1e-12
+
+
+def _reduced(sv, qubits):
+    """The density matrix of the state's qubits, in the given order."""
+    kept = [sv.position(q) for q in qubits]
+    psi = np.moveaxis(sv.amplitudes.reshape((2,) * sv.num_qubits), kept, range(len(kept)))
+    psi = psi.reshape(2 ** len(kept), -1)
+    return psi @ psi.conj().T
+
+
+def _eve_ensemble(kind, a, b):
+    """Alice's outcome -> p_a rho_a: its probability times Eve's state given it.
+
+    Eve's qubits are her targets' in target order; the named systems are
+    independent factors, so her state is the kron of each system's reduction.
+    """
+    layout = LAYOUTS[kind]
+    systems = layout.declared_systems(a, b)
+    eve_qubits = {}
+    for system, pair in layout.eve:
+        eve_qubits[system] = eve_qubits.get(system, ()) + pair
+    name, (qi, qj) = layout.alice
+    weighted = {}
+    for outcome in live_outcomes(systems[name], qi, qj):
+        p, collapsed = project_bell(systems[name], qi, qj, outcome)
+        conditioned = {**systems, name: collapsed}
+        rhos = (_reduced(conditioned[system], qubits) for system, qubits in eve_qubits.items())
+        weighted[outcome] = p * reduce(np.kron, rhos)
+    return weighted
+
+
+def _square_root_measurement(weighted):
+    """Pi_a = S^-1/2 p_a rho_a S^-1/2 with S = sum_a p_a rho_a, S inverted on its support."""
+    values, vectors = np.linalg.eigh(sum(weighted.values()))
+    support = values > 1e-12
+    root = (vectors[:, support] / np.sqrt(values[support])) @ vectors[:, support].conj().T
+    return {a: root @ rho @ root for a, rho in weighted.items()}
+
+
+def _yuen_kennedy_lax(weighted, povm):
+    """A measurement's success on the ensemble, Y's distance from Hermitian and
+    the least eigenvalue of Y - p_a rho_a over a, where Y = sum_a p_a rho_a Pi_a.
+
+    When Y is Hermitian and every Y - p_a rho_a is positive semidefinite, no
+    measurement scores more than tr Y (Yuen, Kennedy and Lax, 1975).
+    """
+    y = sum(rho @ povm[a] for a, rho in weighted.items())
+    hermitian = (y + y.conj().T) / 2
+    worst = min(float(np.linalg.eigvalsh(hermitian - rho).min()) for rho in weighted.values())
+    return float(np.trace(y).real), float(np.abs(y - hermitian).max()), worst
+
+
+@pytest.mark.parametrize("kind, a, b", [case for case in SUPPORTED_PAIRS if case[0] in GUESS_KINDS], ids=str)
+def test_no_measurement_beats_eves_modeled_guess(kind, a, b):
+    weighted = _eve_ensemble(kind, a, b)
+    success, asymmetry, worst = _yuen_kennedy_lax(weighted, _square_root_measurement(weighted))
+    assert abs(success - per_group_eve_success(kind)) <= 1e-12
+    assert asymmetry <= 1e-12
+    assert worst >= -1e-12
+
+
+def test_a_suboptimal_measurement_fails_the_optimality_check():
+    weighted = _eve_ensemble("type2", PHI, PHI)
+    # her two qubits read in the computational basis, outcome x taken as the guess with ordinal x
+    povm = {a: np.diag(np.arange(4) == a.ordinal).astype(complex) for a in weighted}
+    success, _, worst = _yuen_kennedy_lax(weighted, povm)
+    assert abs(success - 0.25) <= 1e-12
+    # some Y - p_a rho_a is not positive semidefinite, so the check rejects it
+    assert abs(worst + 0.125) <= 1e-9
