@@ -328,8 +328,8 @@ def cmd_attack(options: CliConfig) -> int:
 def cmd_sweep(options: CliConfig) -> int:
     """One batch per k = 1..k_checked, drawn as one sweep; CSV summary plus per-point JSON."""
     session, k_max = options.session, options.session.k_checked
-    os.makedirs(options.out, exist_ok=True)
     reports = monte_carlo_sweep(session, options.adversary, range(1, k_max + 1), options.trials, session.seed)
+    os.makedirs(options.out, exist_ok=True)  # after the draw, so a refused sweep leaves no directory
     for report in reports:
         point_path = os.path.join(options.out, f"{options.adversary}_k{report.k_checked}.json")
         _write(point_path, _write_json, report.to_json_dict())

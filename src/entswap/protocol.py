@@ -19,16 +19,11 @@ The classical channel is an ordered, reliable, authenticated-but-readable
 message list: an eavesdropper sees every message but cannot forge one.
 Every :class:`Message` goes on the wire as its kind, sender and fields.
 
-Randomness: a session draws from two independent streams, one for the
-honest parties and one for the adversary, so the mere presence of an
-adversary never perturbs honest sampling.  The honest stream is
-``SeedSequence(seed, spawn_key=(0,))`` and Eve's is ``spawn_key=(1,)``:
-exactly the children ``SeedSequence(seed).spawn(2)`` would give, built
-directly.  A ``seed_seq`` given in place of the seed has its own spawn key
-extended the same way and is never mutated, so a second session from the
-same object repeats the first.  Eve's generator is built only for layouts
-in which she measures.  A whole run is a pure function of (config,
-adversary kind, seed).
+Randomness: README's "Seeding" paragraph (under "Python API") states the
+session's two streams once, the honest parties' and the adversary's, and
+how each is seeded.  ``tests/test_protocol.py`` pins them: the honest
+stream does not depend on the adversary, a ``seed_seq`` is not advanced,
+and Eve's stream is built only where she measures.
 
 Each group's fragments are read from ``FRAGMENT_HALVES``, derived once
 from the swap rule and the codebook.

@@ -14,23 +14,13 @@ Measurement sampling is inverse-CDF over the four outcome probabilities in
 the canonical Bell order (phi+, phi-, psi+, psi-), so seeded runs are
 reproducible bit for bit.
 
-Measurements are memoized on the state they act on.  A ``StateVector`` is
-immutable, so the Born probabilities of a pair's four Bell outcomes and the
-collapsed state of each branch are fixed by (state, pair, branch).  The
-first ``measure_bell``/``project_bell`` on a pair builds every live branch
-of it, its outcome and its collapsed child, into the state's private
-cache, and every later one is a lookup plus the one ``rng.random()`` draw.
-This is exact: the draw is compared against the very float64 sums
-``np.cumsum`` produced, and the cached child is the object the first
-computation built, so outcomes, RNG streams and amplitudes are bit for bit
-those of an uncached measurement.  It is bounded: a cache holds every live
-branch of each measured pair, so under a root state it is a tree as deep
-as the measurements made on it (at most 1 + 4 + 4 nodes per honest group
-system), and it is freed with its root.  The cache takes no part in
-equality or ``repr``.  A branch below ``MIN_FORCED_PROB`` is rounding
-noise; ``live_outcomes`` lists the rest, the only outcomes ``measure_bell``
-draws, ``project_bell`` conditions on and ``identify_bell`` names, so no
-caller restates the bound.
+Measurements are memoized on the state they act on.  README's "Python
+API" section states the branch cache's rule once: what the first
+measurement of a pair builds, which outcomes are live, and why outcomes,
+RNG streams and amplitudes stay bit for bit those of an uncached
+measurement.  ``tests/test_branch_cache.py`` pins it against the uncached
+walk, bounds the cache by the branch tree and checks that a filled cache
+changes no equality or ``repr``.
 """
 
 from __future__ import annotations
@@ -93,7 +83,7 @@ class StateVector:
 
     amplitudes: np.ndarray
     labels: tuple[str, ...]
-    # measured pair (qubit_i, qubit_j) -> its branches; see the module docstring
+    # measured pair (qubit_i, qubit_j) -> its branches; README's "Python API" states the rule
     _branches: dict[tuple[str, str], _Branches] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )

@@ -292,24 +292,7 @@ def _table_chunk(tables, n_groups: int, ks: tuple[int, ...], seed: int, c: int, 
     missed = np.zeros(size, dtype=bool)
     counts, detections = np.zeros(4, dtype=np.int64), [0] * len(ks)
     for n_pair, table in tables:
-        if len(table.probs) == 2:
-            # numpy's multinomial makes exactly this draw for two classes, one binomial
-            # per row; class 1's counts, n_pair - first, are never built as an array
-            first = rng.binomial(n_pair, table.probs[0], size=size)
-            if table.mismatch[0]:
-                mismatched += first
-            if table.mismatch[1]:
-                mismatched += n_pair
-                mismatched -= first
-            if not table.eve_ok[0]:
-                np.logical_or(missed, first, out=missed)
-            if not table.eve_ok[1]:
-                np.logical_or(missed, first < n_pair, out=missed)
-            total = int(first.sum())
-            counts += rng.multinomial(total, table.alice[0])
-            counts += rng.multinomial(n_pair * size - total, table.alice[1])
-            continue
-        columns = rng.multinomial(n_pair, table.probs, size=size).T
+        columns = _class_columns(rng, n_pair, table.probs, size)
         for column, mismatch, eve_ok, alice in zip(columns, table.mismatch, table.eve_ok, table.alice):
             if mismatch:
                 mismatched += column
@@ -324,6 +307,24 @@ def _table_chunk(tables, n_groups: int, ks: tuple[int, ...], seed: int, c: int, 
             detections[i] = np.count_nonzero(rng.hypergeometric(mismatched, matched, k))
     agreements = size - np.count_nonzero(mismatched) if can_mismatch else size
     return np.array([agreements, size - np.count_nonzero(missed), *counts, *detections], dtype=np.int64)
+
+
+def _class_columns(rng, n_pair: int, probs, size: int) -> Iterator[np.ndarray]:
+    """Each class's counts among ``n_pair`` groups, one column of ``size``
+    trials per class, in class order.
+
+    Two classes draw one ``binomial`` column, the draw numpy's multinomial
+    makes for two categories, and class 1's counts then overwrite that
+    column in place.  That is safe because ``zip`` in ``_table_chunk``'s
+    loop asks for the next column only after the loop body has used the
+    previous one; a caller that kept class 0's column would see class 1's.
+    """
+    if len(probs) != 2:
+        yield from rng.multinomial(n_pair, probs, size=size).T
+        return
+    column = rng.binomial(n_pair, probs[0], size=size)
+    yield column
+    yield np.subtract(n_pair, column, out=column)
 
 
 def _cpus() -> int:

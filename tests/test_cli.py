@@ -403,6 +403,24 @@ def test_sweep_honest_channel_detects_nothing(tmp_path):
     assert agreement == [1.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--adversary", "type2", "--pair-states", "random"], id="type2-random"),
+        pytest.param(["--adversary", "type3", "--pair-states", "phi+,phi+,psi-,phi+"], id="type3-list"),
+    ],
+)
+def test_a_refused_sweep_leaves_no_out_directory(tmp_path, args):
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--groups", "2", "--trials", "5", *args, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_a_sweep_out_under_a_file_is_an_io_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    assert main(["sweep", "--groups", "2", "--trials", "5", "--out", str(tmp_path / "file" / "d")]) == EXIT_IO
+
+
 def test_oracle_check_passes(capsys):
     code = main(["oracle-check"])
     assert code == EXIT_OK
