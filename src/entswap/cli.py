@@ -32,6 +32,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -326,7 +327,8 @@ def cmd_attack(options: CliConfig) -> int:
 
 
 def cmd_sweep(options: CliConfig) -> int:
-    """One batch per k = 1..k_checked, drawn as one sweep; CSV summary plus per-point JSON."""
+    """One batch per k = 1..k_checked, drawn as one sweep; CSV summary plus per-point JSON,
+    and no earlier point file of the adversary past the grid."""
     session, k_max = options.session, options.session.k_checked
     reports = monte_carlo_sweep(session, options.adversary, range(1, k_max + 1), options.trials, session.seed)
     os.makedirs(options.out, exist_ok=True)  # after the draw, so a refused sweep leaves no directory
@@ -339,6 +341,12 @@ def cmd_sweep(options: CliConfig) -> int:
         )
     csv_path = os.path.join(options.out, "sweep.csv")
     _write(csv_path, _write_csv, SWEEP_CSV_HEADER, [sweep_csv_row(report) for report in reports])
+    # an earlier sweep's points past this grid would sit beside a sweep.csv that omits them
+    point = re.compile(rf"{re.escape(options.adversary)}_k([1-9][0-9]*)\.json")
+    with os.scandir(options.out) as entries:
+        stale = [e.path for e in entries if (m := point.fullmatch(e.name)) and int(m[1]) > k_max and e.is_file()]
+    for path in stale:
+        os.remove(path)
     print(f"sweep: wrote {csv_path} and {k_max} point files")
     return EXIT_OK
 

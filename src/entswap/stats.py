@@ -17,7 +17,9 @@ Three layers:
 Monte Carlo has two backends: ``"table"`` (the default) draws each trial's
 class counts from the joint tables, and ``"statevector"`` runs one full
 session per trial as the reference.  README's "Python API" section states
-their streams, seeding, chunking and memory once.  The streams are pinned by
+their streams, seeding, chunking and memory once, and how a two-class table's
+counts come from ``_binomial_column``, a kernel that returns numpy's
+``binomial`` draw bit for bit and calls numpy where it cannot.  The streams are pinned by
 ``tests/test_stream_contract.py`` (each numpy ``Generator`` call, the
 two-class binomial column included), ``tests/test_table_backend.py`` (the
 plain multinomial reference sampler, the one-k sweep points and the worker
@@ -26,6 +28,7 @@ count) and the CLI digests in ``tests/test_cli.py``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -322,9 +325,110 @@ def _class_columns(rng, n_pair: int, probs, size: int) -> Iterator[np.ndarray]:
     if len(probs) != 2:
         yield from rng.multinomial(n_pair, probs, size=size).T
         return
-    column = rng.binomial(n_pair, probs[0], size=size)
+    column = _binomial_column(rng, n_pair, probs[0], size)
     yield column
     yield np.subtract(n_pair, column, out=column)
+
+
+# The binomial kernel's bucket table has 2**_BUCKET_BITS int64 entries (256 KB).
+# A u closer than _TOL to a threshold is left to numpy: its sequential
+# subtraction rounds by at most 2**-54 a step, so a threshold moves < 1e-14.
+# Columns shorter than _KERNEL_MIN cost less through numpy's own call, and the
+# search for replayed rows reads _ROW_BLOCK rows at a time, so its mask is half
+# a chunk's column.
+_BUCKET_BITS = 15
+_TOL = 1e-12
+_KERNEL_MIN = 1024
+_ROW_BLOCK = 1 << 15
+
+
+def _binomial_column(rng, n: int, p: float, size: int) -> np.ndarray:
+    """``rng.binomial(n, p, size=size)``: the same values, and the generator
+    left in the same state.
+
+    Where numpy inverts (n * min(p, 1 - p) <= 30) on a PCG64 generator, a
+    trial's count is the number of the sampler's thresholds below its
+    ``random()`` double u, one double per trial as numpy draws them.
+    ``_inversion_table`` maps the top mantissa bits of u to that count; the
+    rows it leaves at -1 are replayed one at a time from the saved state and
+    settled against the thresholds.  A u within ``_TOL`` of a threshold, or
+    past the last one (numpy draws again there), restores the state and
+    calls numpy.  Other generators, BTPE's range and short columns call
+    numpy directly.
+    """
+    flip, bitgen = p > 0.5, rng.bit_generator
+    p_small = float(1.0 - p if flip else p)  # as numpy computes it
+    if type(bitgen) is not np.random.PCG64 or not (n > 0 and 0.0 < p_small and p_small * n <= 30.0):
+        return rng.binomial(n, p, size=size)
+    # looked up before the size test, so the first column drawn from (n, p) builds
+    # the table whatever its size, and a full chunk's working set holds none
+    table, thresholds = _inversion_table(n, p_small)
+    if size < _KERNEL_MIN:
+        return rng.binomial(n, p, size=size)
+    start, column = bitgen.state, np.empty(size, dtype=np.int64)
+    u = column.view(np.float64)
+    rng.random(out=u)
+    # u + 1 lies in [1, 2], so its top mantissa bits are u's bucket; 2.0, which the
+    # largest u rounds to, is one past the table and is clipped into the last bucket
+    np.add(u, 1.0, out=u)
+    np.right_shift(column, 52 - _BUCKET_BITS, out=column)
+    np.subtract(column, 0x3FF << _BUCKET_BITS, out=column)
+    np.take(table, column, out=column, mode="clip")
+    rows = [
+        s + r for s in range(0, size, _ROW_BLOCK) for r in np.flatnonzero(column[s : s + _ROW_BLOCK] < 0).tolist()
+    ]
+    if rows:
+        end, done = bitgen.state, 0
+        bitgen.state = start
+        for row in rows:
+            bitgen.advance(row - done)
+            x = _settle(thresholds, (bitgen.random_raw() >> 11) * 2.0**-53)
+            if x is None:
+                bitgen.state = start
+                return rng.binomial(n, p, size=size)
+            column[row], done = x, row + 1
+        bitgen.state = end
+    if flip:
+        np.subtract(n, column, out=column)
+    return column
+
+
+@lru_cache(maxsize=32)  # a chunk reads one per declared pair
+def _inversion_table(n: int, p: float) -> tuple[np.ndarray, list[float]]:
+    """The bucket table and thresholds of numpy's binomial inversion for
+    (n, p), p <= 1/2.
+
+    numpy's sampler subtracts px = P(X = x) from u for x = 0, 1, ... until
+    u <= px, and draws u again past ``bound``.  So X counts the thresholds,
+    the partial sums of px up to ``bound``, below u.  The px follow numpy's
+    recurrence from its ``exp(n * log1p(-p))``; each threshold is their exact
+    sum (``fsum``), which numpy's sequential subtraction matches to within
+    1e-14.  Bucket b covers u in [b, b + 1) / 2**_BUCKET_BITS and holds its
+    count, or -1 where it lies within ``_TOL`` of a threshold or past the
+    last one.
+    """
+    q, mean = 1.0 - p, n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    masses = [math.exp(n * math.log1p(-p))]
+    for x in range(1, bound + 1):
+        masses.append((n - x + 1) * p * masses[-1] / (x * q))
+    thresholds = [math.fsum(masses[: x + 1]) for x in range(bound + 1)]
+    buckets = 1 << _BUCKET_BITS
+    table, clear = np.full(buckets, -1, dtype=np.int64), 0
+    for x, t in enumerate(thresholds):
+        table[clear : max(math.floor((t - _TOL) * buckets), 0)] = x
+        clear = math.floor((t + _TOL) * buckets) + 1
+    table.flags.writeable = False  # every chunk shares the cached table
+    return table, thresholds
+
+
+def _settle(thresholds: list[float], u: float) -> int | None:
+    """numpy's inversion count for ``u``, or None for a ``u`` within ``_TOL``
+    of a threshold or past the last one."""
+    x = bisect.bisect_left(thresholds, u)
+    if x == len(thresholds) or any(abs(u - t) <= _TOL for t in thresholds[max(x - 1, 0) : x + 1]):
+        return None
+    return x
 
 
 def _cpus() -> int:

@@ -390,6 +390,26 @@ def test_sweep_writes_grid(tmp_path):
     assert point["k_checked"] == 2 and point["n_groups"] == 4
 
 
+def test_a_smaller_sweep_removes_the_points_it_no_longer_lists(tmp_path):
+    # k = 1..4, then k = 1..2 into the same directory: afterwards it holds this grid's
+    # points and sweep.csv, and every name that is not one of this adversary's points
+    out = tmp_path / "sweepdir"
+    out.mkdir()
+    others = ["type3_k4.json", "type2_k03.json", "type2_k4.json.bak", "notes.txt"]
+    for name in others:
+        (out / name).write_text("kept")
+    (out / "type2_k5.json").mkdir()
+    args = ["sweep", "--adversary", "type2", "--groups", "4", "--trials", "10", "--out", str(out)]
+    assert main([*args, "--check-fraction", "1.0"]) == EXIT_OK
+    assert (out / "type2_k4.json").is_file()
+    assert main([*args, "--check-fraction", "0.5"]) == EXIT_OK
+    points = {"sweep.csv", "type2_k1.json", "type2_k2.json", "type2_k5.json"}
+    assert {path.name for path in out.iterdir()} == points | set(others)
+    assert all((out / name).read_text() == "kept" for name in others)
+    rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+    assert [r[2] for r in rows[1:]] == ["1", "2"]
+
+
 def test_sweep_honest_channel_detects_nothing(tmp_path):
     out = tmp_path / "honest"
     code = main(

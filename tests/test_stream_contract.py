@@ -8,9 +8,15 @@ numpy 2.4.6, the only version they have been checked on.
 """
 
 import hashlib
+import math
+from functools import partial
 
 import numpy as np
 import pytest
+
+from entswap import stats
+from entswap.protocol import MAX_GROUPS
+from entswap.stats import CHUNK_TRIALS, _settle
 
 SEED = 20030219
 # a Monte Carlo chunk's seed sequence, as stats.py builds it
@@ -100,3 +106,105 @@ def test_a_one_category_multinomial_draws_nothing():
     before = rng.bit_generator.state
     assert np.array_equal(rng.multinomial(16, [1.0], size=8), np.full((8, 1), 16))
     assert rng.bit_generator.state == before
+
+
+# stats._binomial_column reproduces binomial(n, p, size) from one random() double a
+# trial; below, each case is (n, p), with n * min(p, 1 - p) on both sides of 30
+_KERNEL_CASES = [(16, p) for p in (0.25, 0.75, 0.5, 1e-5, 0.999)] + [
+    (100, 0.299),
+    (100, 0.301),
+    (100, 1 - 0.299),
+    (100, 1 - 0.301),
+    (MAX_GROUPS, 1e-5),
+    (MAX_GROUPS, 2.99e-4),
+    (MAX_GROUPS, 1 - 1e-6),
+]
+
+
+def _same_draw(make, n, p, size):
+    """Whether the kernel and numpy, each on a generator from ``make()``, give the
+    same values, dtype and generator state after."""
+    kernel, numpy = make(), make()
+    got, want = stats._binomial_column(kernel, n, p, size), numpy.binomial(n, p, size=size)
+    return (
+        got.dtype == want.dtype
+        and np.array_equal(got, want)
+        and kernel.bit_generator.state == numpy.bit_generator.state
+    )
+
+
+@pytest.mark.parametrize("size", [1, 7, CHUNK_TRIALS, CHUNK_TRIALS + 3])
+@pytest.mark.parametrize("n, p", _KERNEL_CASES)
+def test_the_binomial_kernel_is_numpys_binomial(n, p, size):
+    assert _same_draw(lambda: np.random.default_rng(SEED), n, p, size)
+
+
+def test_the_binomial_kernel_calls_numpy_on_other_generators():
+    # an MT19937 state holds an array, so the states are compared by what they draw next
+    kernel, numpy = (np.random.Generator(np.random.MT19937(SEED)) for _ in range(2))
+    got = stats._binomial_column(kernel, 16, 0.75, CHUNK_TRIALS)
+    assert np.array_equal(got, numpy.binomial(16, 0.75, size=CHUNK_TRIALS))
+    assert np.array_equal(kernel.bit_generator.random_raw(8), numpy.bit_generator.random_raw(8))
+
+
+def test_the_binomial_kernel_replays_few_rows(monkeypatch):
+    # rows in a bucket near a threshold are replayed; the table settles the rest
+    settled = []
+    monkeypatch.setattr(stats, "_settle", lambda thresholds, u: settled.append(u) or _settle(thresholds, u))
+    assert _same_draw(lambda: np.random.default_rng(SEED), 16, 0.75, CHUNK_TRIALS)
+    assert 0 < len(settled) < CHUNK_TRIALS // 256, len(settled)
+
+
+def test_a_forced_fallback_is_numpys_draw(monkeypatch):
+    # every u is then within _TOL of a threshold, so the first replayed row hands the
+    # whole column to numpy from the saved state
+    monkeypatch.setattr(stats, "_TOL", 1.0)
+    stats._inversion_table.cache_clear()
+    try:
+        assert _same_draw(lambda: np.random.default_rng(SEED), 16, 0.75, CHUNK_TRIALS)
+    finally:
+        stats._inversion_table.cache_clear()
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_whose_next_double_is(u):
+    """A PCG64 generator whose next random() is ``u``, a multiple of 2**-53 in [0, 1).
+
+    PCG64 steps its 128-bit state (state * multiplier + inc), then outputs the
+    XOR of its halves rotated right by the state's top six bits.  So pick the
+    stepped state's high half, solve for the low half that outputs ``u``'s
+    word, and step that state back once."""
+    word, high, inc = int(u * 2**53) << 11, 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB
+    rot = high >> 58
+    low = high ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+    before = ((high << 64 | low) - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64()
+    state = {"state": before, "inc": inc}
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+def test_a_crafted_generator_draws_the_asked_double():
+    for u in (0.0, 0.5, 0.3125, 1 - 2**-53):
+        assert _generator_whose_next_double_is(u).random() == u
+
+
+@pytest.mark.parametrize("n, p", [(4, 0.3), (16, 0.25), (16, 0.75)])
+def test_the_binomial_kernel_at_numpys_thresholds(n, p):
+    # the first u lands on, or a few 2**-53 steps from, each threshold below 1 - 1e-9;
+    # numpy's sequential subtraction there differs from the exact partial sums
+    _, thresholds = stats._inversion_table(n, min(p, 1.0 - p))
+    for t in thresholds:
+        if t < 1 - 1e-9:
+            for k in range(math.floor(t * 2**53) - 3, math.floor(t * 2**53) + 4):
+                make = partial(_generator_whose_next_double_is, k / 2**53)
+                assert _same_draw(make, n, p, stats._KERNEL_MIN), (t, k)
+
+
+def test_the_binomial_kernel_where_numpy_draws_again():
+    # past the last threshold numpy's inversion draws a second double for that trial
+    n, p = MAX_GROUPS, 1e-5
+    assert stats._inversion_table(n, p)[1][-1] < 1 - 2**-53
+    assert _same_draw(lambda: _generator_whose_next_double_is(1 - 2**-53), n, p, stats._KERNEL_MIN)
