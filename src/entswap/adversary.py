@@ -1,36 +1,21 @@
 """Eavesdropping strategies, each described by one physical layout.
 
-Three attacks are modeled, plus the honest baseline:
-
-* ``none``  - no adversary; the declared Bell pairs are laid out genuinely.
-* ``type1`` - an independent guesser: she never touches the shared channel,
-  swaps her own private pairs, and uses her outcomes as guesses.
-* ``type2`` - a channel entangler: instead of each declared pair she
-  fabricates a three-qubit GHZ state and keeps the third qubit, so she holds
-  one qubit per shared pair.
-* ``type3`` - a channel replacer (man in the middle): she shares pairs with
-  Alice and, separately, pairs with Bob, and swaps on her own halves.
-
-Each kind is one frozen :class:`Layout` in ``LAYOUTS``: the systems of a
-group as data (each its Bell-pair and GHZ factors in kron order, which one
-builder, ``_prepare``, turns into states), the pair Alice, Bob and Eve
-each measure, the order in which they measure, and Eve's guess rule.  Whether
-the attack needs all-phi+ declared pairs is derived from the systems: it does
-when no factor places a declared pair.  Session simulation, the joint outcome
-tables of :mod:`entswap.stats` and the oracle self-check all read that one
-record, so a new attack is one new entry.  A session's adversary is its kind's
-layout: a group's channels are a plain dict of its named systems, and
-:func:`eve_measure` returns Eve's outcomes rather than storing them.
+README's adversary table and the paragraph under it describe the four kinds
+(``none`` and ``type1`` to ``type3``) and what a :class:`Layout` holds; its
+"Python API" section says which entry points take a layout in place of its
+kind tag.  This module holds one frozen ``Layout`` per kind in ``LAYOUTS``,
+the builder ``_prepare`` that turns a layout's factors into states, and the
+session steps that read a layout: :func:`corrupt_channels`,
+:func:`eve_measure` and :func:`eve_guess_key`.
 
 All adversary physics flows through the statevector oracle; no correlation
 table is hard-coded here, so the detection and guess probabilities the
 analysis layer reports are outputs of the simulation, not inputs.
 
-Measurement order is ``Layout.order``: the entangler and the guesser
-measure after both parties, the replacer between Alice and Bob.  Outcome
-statistics do not depend on where Eve stands (the measurements act on
-disjoint qubits); ``test_eve_position_leaves_the_joint_table_alone`` in
-``tests/test_layout.py`` moves her to the other side of Bob and asserts it.
+Outcome statistics do not depend on where Eve stands in ``Layout.order``
+(the measurements act on disjoint qubits);
+``test_eve_position_leaves_the_joint_table_alone`` in ``tests/test_layout.py``
+moves her to the other side of Bob and asserts it.
 """
 
 from __future__ import annotations
@@ -64,7 +49,7 @@ class UnsupportedAttackError(ValueError):
     """The attack is only defined for all-phi+ declared channel states."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     """One attack's physical layout, under its wire-format ``kind`` tag.
 
@@ -75,7 +60,12 @@ class Layout:
     parties in the order a session lets them measure; Eve measures her
     ``eve`` targets group by group at her place in it.  ``guess`` lists,
     from her outcomes for one group, the equally likely guesses of Alice's
-    outcome she picks one from.
+    outcome she picks one from.  A layout is hashed and compared by identity,
+    so each one, ``dataclasses.replace`` copies included, is its own cache key.
+    Raises ValueError naming the field for an ``order`` that does not name
+    alice and bob once each and eve once exactly when there are ``eve``
+    targets, a ``guess`` given without them or missing with them, and a
+    target whose system is not in ``systems``.
     """
 
     kind: str
@@ -88,6 +78,13 @@ class Layout:
     phi_only: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        if sorted(self.order) != ["alice", "bob"] + ["eve"] * bool(self.eve):
+            raise ValueError(f"{self.kind}: order must name alice and bob once, and eve once iff she has targets")
+        if (self.guess is None) == bool(self.eve):
+            raise ValueError(f"{self.kind}: guess must be given exactly when there are eve targets")
+        for name, targets in (("alice", (self.alice,)), ("bob", (self.bob,)), ("eve", self.eve)):
+            if any(system not in self.systems for system, _ in targets):
+                raise ValueError(f"{self.kind}: {name} targets a system not in systems")
         declared = {state for factors in self.systems.values() for state, _ in factors} & {"a", "b"}
         object.__setattr__(self, "phi_only", not declared)
         # built once per declared pair: a session looks its systems up per group
@@ -183,8 +180,11 @@ LAYOUTS: dict[str, Layout] = {
 STRATEGY_KINDS = tuple(LAYOUTS)
 
 
-def make_strategy(kind: str) -> Layout:
-    """The layout for a wire-format kind tag: a session's adversary is its kind's layout."""
+def make_strategy(kind: str | Layout) -> Layout:
+    """The layout for a wire-format kind tag: a session's adversary is its kind's
+    layout.  A ``Layout`` is returned as it is."""
+    if isinstance(kind, Layout):
+        return kind
     try:
         return LAYOUTS[kind]
     except KeyError:

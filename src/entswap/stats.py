@@ -5,14 +5,18 @@ Three layers:
 * small numerics: Wilson 95% score intervals, the chi-square survival
   function for 3 degrees of freedom in closed form, and a uniformity test
   over the four Bell outcomes;
-* analytic attack rates: one branch walk over each kind's
-  ``adversary.Layout`` conditions on every measurement outcome, in session
-  order, to build the exact joint table of one group's outcomes for a
-  declared pair; per-check mismatch and per-group key-guess probabilities
-  are masses of its (mismatch, eve_ok) classes, not hard-coded, so the
-  analytic column in reports is itself oracle-derived;
+* analytic attack rates: one branch walk over an ``adversary.Layout``
+  conditions on every measurement outcome, in session order, to build the
+  exact joint table of one group's outcomes for a declared pair; per-check
+  mismatch and per-group key-guess probabilities are masses of its
+  (mismatch, eve_ok) classes, not hard-coded, so the analytic column in
+  reports is itself oracle-derived;
 * Monte Carlo drivers that summarize detection, key-agreement, and
   eavesdropper success rates over a batch of trials.
+
+Each public entry point takes a kind tag or a ``Layout``, as README's
+"Python API" section states, and resolves it with ``make_strategy`` once;
+every layer below takes the layout.
 
 Monte Carlo has two backends: ``"table"`` (the default) draws each trial's
 class counts from the joint tables, and ``"statevector"`` runs one full
@@ -40,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .adversary import make_strategy
+from .adversary import Layout, make_strategy
 from .bell import BellIndex, Record, swap_partner
 from .protocol import SessionConfig, declared_pairs, declared_state, plain_int, run_session
 from .statevector import live_outcomes, project_bell
@@ -55,10 +59,13 @@ _PHI = BellIndex.PHI_PLUS
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion, as (lo, hi)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
+    """Wilson 95% score interval for a binomial proportion, as (lo, hi).
+
+    Both counts are checked by ``protocol.plain_int``: a bool or float raises
+    TypeError, and trials below 1 or successes outside [0, trials] ValueError.
+    """
+    successes, trials = plain_int("successes", successes), plain_int("trials", trials, low=1)
+    if successes > trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
     z2 = Z95 * Z95
@@ -76,10 +83,11 @@ def chi2_sf_3df(x: float) -> float:
     """P(X >= x) for a chi-square variable with 3 degrees of freedom.
 
     For odd degrees of freedom the survival function is elementary; with
-    3 df it is erfc(sqrt(x/2)) + sqrt(2x/pi) * exp(-x/2).
+    3 df it is erfc(sqrt(x/2)) + sqrt(2x/pi) * exp(-x/2).  A negative or
+    NaN statistic raises ValueError.
     """
-    if x < 0:
-        raise ValueError("chi-square statistic cannot be negative")
+    if not x >= 0:
+        raise ValueError(f"chi-square statistic must be a non-negative number, got {x}")
     if x == 0:
         return 1.0
     return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
@@ -89,13 +97,13 @@ def uniformity_test(counts) -> tuple[float, float]:
     """Chi-square test of the four outcome counts against uniform.
 
     Returns (statistic, p_value).  Requires at least 40 total samples so
-    every expected cell count is >= 10.
+    every expected cell count is >= 10.  Each count is checked by
+    ``protocol.plain_int``, so a non-integral one raises TypeError rather
+    than being truncated.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (4,):
+    if np.shape(counts) != (4,):
         raise ValueError("expected exactly four outcome counts")
-    if (counts < 0).any():
-        raise ValueError("counts cannot be negative")
+    counts = np.array([plain_int("count", c) for c in counts], dtype=np.int64)
     total = int(counts.sum())
     if total < 40:
         raise ValueError("need at least 40 samples for the uniformity test")
@@ -105,35 +113,36 @@ def uniformity_test(counts) -> tuple[float, float]:
 
 
 def _per_declared_pair(table):
-    """``table(kind, a, b)``, cached, with each declared state checked by
-    ``protocol.declared_state`` and made its ``BellIndex`` member before the
-    lookup: True, 1.0 and 1 hash alike, so a check inside the cached body
-    would not run once 1 is cached, and an ordinal and its member share one
-    entry.  ``__wrapped__`` is the uncached body."""
+    """``table(layout, a, b)``, cached.  Before the lookup a kind tag is
+    resolved by ``make_strategy``, so a tag and its layout share one entry,
+    and each declared state is checked by ``protocol.declared_state`` and
+    made its ``BellIndex`` member: True, 1.0 and 1 hash alike, so a check
+    inside the cached body would not run once 1 is cached, and an ordinal
+    and its member share one entry.  ``__wrapped__`` is the uncached body,
+    which takes the ``Layout``."""
     cached = lru_cache(maxsize=None)(table)
 
     @wraps(table)
-    def lookup(kind: str, a=_PHI, b=_PHI):
-        return cached(kind, declared_state("declared state a", a), declared_state("declared state b", b))
+    def lookup(kind: str | Layout, a=_PHI, b=_PHI):
+        a, b = declared_state("declared state a", a), declared_state("declared state b", b)
+        return cached(make_strategy(kind), a, b)
 
-    lookup.cache_clear = cached.cache_clear
     return lookup
 
 
 @_per_declared_pair
 def joint_table(
-    kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI
+    layout: Layout, a: BellIndex = _PHI, b: BellIndex = _PHI
 ) -> Mapping[tuple[BellIndex, ...], float]:
     """Exact joint distribution of the outcomes of one group declared (a, b).
 
     Keys are (alice, bob, *eve) outcome tuples, values their probability.
-    The walk follows the session's measurement order on the kind's layout
-    and conditions on every live outcome with its Born weight, so only
-    reachable cells appear.  A declared state may be given by its ordinal
-    0-3.  Attacks modeled for phi+ channels only raise
+    The walk follows the session's measurement order on the layout (or
+    the kind tag's) and conditions on every live outcome with its Born
+    weight, so only reachable cells appear.  A declared state may be given
+    by its ordinal 0-3.  Attacks modeled for phi+ channels only raise
     UnsupportedAttackError for any other declared pair.
     """
-    layout = make_strategy(kind)
     order = layout.session_order()
     # each leaf is (systems, outcomes so far, probability); one step expands every leaf
     leaves = [(layout.declared_systems(a, b), (None,) * len(order), 1.0)]
@@ -169,12 +178,11 @@ class ClassTable:
 
 
 @_per_declared_pair
-def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTable:
-    """The (mismatch, eve_ok) classes of ``joint_table(kind, a, b)``."""
-    layout = make_strategy(kind)
+def class_table(layout: Layout, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTable:
+    """The (mismatch, eve_ok) classes of ``joint_table(layout, a, b)``."""
     mass: dict[tuple[bool, bool], np.ndarray] = {}
     # each guess takes the cell's whole mass; the renormalization below shares it out exactly
-    for (alice, bob, *eve), p in joint_table(kind, a, b).items():
+    for (alice, bob, *eve), p in joint_table(layout, a, b).items():
         for guess in layout.guess(tuple(eve)) if layout.guess else (alice,):
             label = (bob is not swap_partner(a, b, alice), guess is alice)
             mass.setdefault(label, np.zeros(4))[alice.ordinal] += p
@@ -193,7 +201,7 @@ def class_table(kind: str, a: BellIndex = _PHI, b: BellIndex = _PHI) -> ClassTab
 
 
 @lru_cache(maxsize=None)  # every report of the kind reads it
-def per_check_mismatch(kind: str) -> float:
+def per_check_mismatch(kind: str | Layout) -> float:
     """Probability one CHECKED group's fragments disagree.
 
     The mass of the mismatching classes of ``class_table(kind)``; with no
@@ -204,25 +212,26 @@ def per_check_mismatch(kind: str) -> float:
 
 
 @lru_cache(maxsize=None)  # every report of the kind reads it
-def per_group_eve_success(kind: str) -> float | None:
+def per_group_eve_success(kind: str | Layout) -> float | None:
     """Probability the adversary reconstructs one group's fragment.
 
     The mass of the classes of ``class_table(kind)`` where her guess is
     Alice's outcome.  None for the honest channel (there is no adversary
     to succeed).
     """
-    if make_strategy(kind).guess is None:
+    layout = make_strategy(kind)
+    if layout.guess is None:
         return None
-    table = class_table(kind)
+    table = class_table(layout)
     return float(table.probs[table.eve_ok].sum())
 
 
-def analytic_detection(kind: str, k_checked: int) -> float:
+def analytic_detection(kind: str | Layout, k_checked: int) -> float:
     """Probability at least one of k checked groups exposes the attack."""
     return 1.0 - (1.0 - per_check_mismatch(kind)) ** plain_int("k_checked", k_checked, low=1)
 
 
-def analytic_eve_key(kind: str, n_groups: int) -> float | None:
+def analytic_eve_key(kind: str | Layout, n_groups: int) -> float | None:
     """Probability the adversary reconstructs the whole 4n-bit string."""
     n_groups = plain_int("n_groups", n_groups, low=1)
     per_group = per_group_eve_success(kind)
@@ -261,7 +270,7 @@ def chunk_sizes(trials: int) -> Iterator[int]:
 Tally = tuple[int, int, int, np.ndarray]
 
 
-def _table_sweep(config: SessionConfig, kind: str, trials: int, seed: int, ks: tuple[int, ...]) -> tuple:
+def _table_sweep(config: SessionConfig, layout: Layout, trials: int, seed: int, ks: tuple[int, ...]) -> tuple:
     """Sample each trial's class counts per declared pair, chunk by chunk,
     once for every check count in ``ks``.
 
@@ -272,7 +281,7 @@ def _table_sweep(config: SessionConfig, kind: str, trials: int, seed: int, ks: t
     hits and Alice's tallies all k share.
     """
     pairs = Counter(declared_pairs(config))
-    tables = [(n_pair, class_table(kind, a, b)) for (a, b), n_pair in pairs.items()]
+    tables = [(n_pair, class_table(layout, a, b)) for (a, b), n_pair in pairs.items()]
     total = _run_chunks(partial(_table_chunk, tables, config.n_groups, ks, seed), trials)
     return [int(d) for d in total[6:]], int(total[0]), int(total[1]), total[2:6]
 
@@ -474,19 +483,19 @@ def _run_chunks(chunk, trials: int) -> np.ndarray:
     return sum(totals)
 
 
-def _table_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
+def _table_batch(config: SessionConfig, layout: Layout, trials: int, seed: int) -> Tally:
     """The table sampler at the one check count ``config.k_checked``."""
-    (detections,), *shared = _table_sweep(config, kind, trials, seed, (config.k_checked,))
+    (detections,), *shared = _table_sweep(config, layout, trials, seed, (config.k_checked,))
     return (detections, *shared)
 
 
-def _statevector_batch(config: SessionConfig, kind: str, trials: int, seed: int) -> Tally:
+def _statevector_batch(config: SessionConfig, layout: Layout, trials: int, seed: int) -> Tally:
     """One full statevector session per trial, trial t reseeded from (seed, t)."""
     detections = agreements = eve_hits = 0
     counts = np.zeros(4, dtype=np.int64)
     for t in range(trials):
         ss = np.random.SeedSequence(seed, spawn_key=(t,))
-        report = run_session(config, make_strategy(kind), ss)
+        report = run_session(config, layout, ss)
         if report.verdict == "abort":
             detections += 1
         if all(g.alice_fragment == g.bob_fragment for g in report.groups):
@@ -503,7 +512,7 @@ BACKENDS = {"table": _table_batch, "statevector": _statevector_batch}
 
 def monte_carlo(
     config: SessionConfig,
-    kind: str = "none",
+    kind: str | Layout = "none",
     trials: int = 1000,
     seed: int = 0,
     backend: str = "table",
@@ -518,15 +527,15 @@ def monte_carlo(
     where every honest fragment pair agreed.  Raises TypeError for a config
     that is not a ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``.
     """
-    trials, seed = _batch_args(config, kind, trials, seed)
+    layout, trials, seed = _batch_args(config, kind, trials, seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
-    tally = BACKENDS[backend](config, kind, trials, seed)
-    return _mc_report(config, kind, config.k_checked, trials, seed, *tally)
+    tally = BACKENDS[backend](config, layout, trials, seed)
+    return _mc_report(config, layout, config.k_checked, trials, seed, *tally)
 
 
 def monte_carlo_sweep(
-    config: SessionConfig, kind: str, ks: Iterable[int], trials: int, seed: int
+    config: SessionConfig, kind: str | Layout, ks: Iterable[int], trials: int, seed: int
 ) -> list[MCReport]:
     """One table-backend report per check count in ``ks``, each equal to
     ``monte_carlo`` of ``config`` at that k with the same trials and seed.
@@ -535,28 +544,27 @@ def monte_carlo_sweep(
     once per chunk for the whole grid; only each k's hypergeometric draw is
     its own.  Every k is a whole number in [1, ``config.n_groups``].
     """
-    trials, seed = _batch_args(config, kind, trials, seed)
+    layout, trials, seed = _batch_args(config, kind, trials, seed)
     ks = tuple(plain_int("k_checked", k, low=1) for k in ks)
     if not ks or max(ks) > config.n_groups:
         raise ValueError(f"a sweep needs check counts in [1, {config.n_groups}], got {ks}")
-    detections, *shared = _table_sweep(config, kind, trials, seed, ks)
-    return [_mc_report(config, kind, k, trials, seed, d, *shared) for k, d in zip(ks, detections)]
+    detections, *shared = _table_sweep(config, layout, trials, seed, ks)
+    return [_mc_report(config, layout, k, trials, seed, d, *shared) for k, d in zip(ks, detections)]
 
 
-def _batch_args(config: SessionConfig, kind: str, trials: int, seed: int) -> tuple[int, int]:
-    """The checked (trials, seed) of a batch, after its config and kind."""
+def _batch_args(config: SessionConfig, kind: str | Layout, trials: int, seed: int) -> tuple[Layout, int, int]:
+    """The layout and checked (trials, seed) of a batch, after its config."""
     if not isinstance(config, SessionConfig):
         raise TypeError(f"config must be a SessionConfig, not {config!r}")
-    make_strategy(kind)
-    return plain_int("trials", trials, low=1), plain_int("seed", seed)
+    return make_strategy(kind), plain_int("trials", trials, low=1), plain_int("seed", seed)
 
 
-def _mc_report(config, kind, k, trials, seed, detections, agreements, eve_hits, counts) -> MCReport:
-    """The report of a batch of ``trials`` sessions of ``config`` with k checked
-    groups, from its ``Tally``."""
-    has_eve = make_strategy(kind).guess is not None
+def _mc_report(config, layout, k, trials, seed, detections, agreements, eve_hits, counts) -> MCReport:
+    """The report of a batch of ``trials`` sessions of ``config`` under ``layout``
+    with k checked groups, from its ``Tally``."""
+    has_eve = layout.guess is not None
     return MCReport(
-        strategy=kind,
+        strategy=layout.kind,
         n_groups=config.n_groups,
         k_checked=k,
         trials=trials,
@@ -567,8 +575,8 @@ def _mc_report(config, kind, k, trials, seed, detections, agreements, eve_hits, 
         eve_key_interval=wilson_interval(eve_hits, trials) if has_eve else None,
         key_agreement_rate=agreements / trials,
         outcome_counts=tuple(int(c) for c in counts),
-        analytic_detection=analytic_detection(kind, k),
-        analytic_eve_key=analytic_eve_key(kind, config.n_groups),
+        analytic_detection=analytic_detection(layout, k),
+        analytic_eve_key=analytic_eve_key(layout, config.n_groups),
     )
 
 

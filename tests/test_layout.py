@@ -117,6 +117,23 @@ def test_phi_only_is_derived_from_the_systems():
         Layout("x", systems={}, alice=("main", ("1", "3")), bob=("main", ("2", "4")), phi_only=True)
 
 
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("order", {"order": ("alice", "bob", "eve", "eve")}),
+        ("order", {"order": ("alice", "bob")}),
+        ("order", {"order": ("alice",)}),
+        ("guess", {"guess": None}),
+        ("guess", {"eve": (), "order": ("alice", "bob")}),
+        ("alice", {"alice": ("side", ("1", "3"))}),
+        ("eve", {"eve": (("eve", ("1p", "3p")), ("side", ("2", "4")))}),
+    ],
+)
+def test_an_inconsistent_layout_is_refused_when_built(field, changes):
+    with pytest.raises(ValueError, match=f"type1: {field} "):
+        dataclasses.replace(LAYOUTS["type1"], **changes)
+
+
 def _reference_joint_table(kind, a, b):
     """The recursive walker joint_table had before it walked live_outcomes.
 
@@ -155,9 +172,10 @@ def test_joint_table_is_the_recursive_walk_bit_for_bit(monkeypatch):
         assert list(table.values()) == list(reference.values()), case
     # so the class tables the batches draw from are the same arrays too
     expected = {case: class_table(*case) for case in SUPPORTED_PAIRS}
-    monkeypatch.setattr(stats, "joint_table", lambda *case: references[case])
+    monkeypatch.setattr(stats, "joint_table", lambda layout, a, b: references[layout.kind, a, b])
     for case, want in expected.items():
-        got = class_table.__wrapped__(*case)
+        kind, a, b = case
+        got = class_table.__wrapped__(make_strategy(kind), a, b)
         for name in ("mismatch", "eve_ok", "probs", "alice"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (case, name)
 
@@ -195,21 +213,20 @@ EVE_ELSEWHERE = {
 
 
 @pytest.mark.parametrize("kind", sorted(EVE_ELSEWHERE))
-def test_eve_position_leaves_the_joint_table_alone(kind, monkeypatch):
+def test_eve_position_leaves_the_joint_table_alone(kind):
     # Eve and Bob measure disjoint qubits, so their order cannot change the law
-    expected = joint_table(kind)  # cached under the real layout before the swap
+    expected = joint_table(kind)
     layout = LAYOUTS[kind]
     assert layout.order != EVE_ELSEWHERE[kind]
-    monkeypatch.setitem(LAYOUTS, kind, dataclasses.replace(layout, order=EVE_ELSEWHERE[kind]))
-    moved = joint_table.__wrapped__(kind)
+    moved = joint_table(dataclasses.replace(layout, order=EVE_ELSEWHERE[kind]))
     assert set(moved) == set(expected)
     assert all(abs(moved[cell] - p) <= 1e-12 for cell, p in expected.items())
 
 
 def _fresh_tables(kind, a, b):
-    joint_table.cache_clear()
-    class_table.cache_clear()
-    return dict(joint_table(kind, a, b)), class_table(kind, a, b)
+    # a copy of the kind's layout is a key no table has been cached under
+    layout = dataclasses.replace(make_strategy(kind))
+    return dict(joint_table(layout, a, b)), class_table(layout, a, b)
 
 
 @pytest.mark.parametrize(
@@ -247,21 +264,22 @@ def test_unknown_kind_raises():
 GUESS_KINDS = [kind for kind, layout in LAYOUTS.items() if layout.guess is not None]
 
 
-def _posteriors(kind, with_bob=False):
+def _posteriors(layout, with_bob=False):
     """Eve's outcome tuple, led by Bob's outcome if with_bob -> {Alice's
-    outcome: joint mass}, from the exact table."""
+    outcome: joint mass}, from the exact table of a layout or kind tag."""
     posteriors = {}
-    for (alice, bob, *eve), p in joint_table(kind).items():
+    for (alice, bob, *eve), p in joint_table(layout).items():
         masses = posteriors.setdefault((bob, *eve) if with_bob else tuple(eve), {})
         masses[alice] = masses.get(alice, 0.0) + p
     return posteriors
 
 
-def _guesses_are_maximizers(kind, guess):
-    """Whether every guess the rule lists carries the most mass of Alice's outcome."""
+def _guesses_are_maximizers(layout, guess):
+    """Whether every guess the rule lists carries the most mass of Alice's
+    outcome, under a layout or kind tag."""
     return all(
         masses.get(g, 0.0) >= max(masses.values()) - 1e-12
-        for eve, masses in _posteriors(kind).items()
+        for eve, masses in _posteriors(layout).items()
         for g in guess(eve)
     )
 
@@ -294,13 +312,14 @@ def _reduced(sv, qubits):
     return psi @ psi.conj().T
 
 
-def _eve_ensemble(kind, a, b):
-    """Alice's outcome -> p_a rho_a: its probability times Eve's state given it.
+def _eve_ensemble(layout, a, b):
+    """Alice's outcome -> p_a rho_a: its probability times Eve's state given it,
+    under a layout or kind tag.
 
     Eve's qubits are her targets' in target order; the named systems are
     independent factors, so her state is the kron of each system's reduction.
     """
-    layout = LAYOUTS[kind]
+    layout = make_strategy(layout)
     systems = layout.declared_systems(a, b)
     eve_qubits = {}
     for system, pair in layout.eve:

@@ -41,6 +41,10 @@ def test_wilson_interval_edges_and_errors():
         wilson_interval(5, 4)
     with pytest.raises(ValueError):
         wilson_interval(-1, 4)
+    # counts are exact integers: a bool or a float is not one
+    for successes, trials in [(True, 2), (1.5, 2), (1, 2.0)]:
+        with pytest.raises(TypeError):
+            wilson_interval(successes, trials)
 
 
 def test_chi2_sf_3df_against_scipy():
@@ -56,6 +60,8 @@ def test_chi2_sf_3df_reference_points():
     assert chi2_sf_3df(11.345) == pytest.approx(0.01, abs=1e-4)
     with pytest.raises(ValueError):
         chi2_sf_3df(-0.5)
+    with pytest.raises(ValueError):
+        chi2_sf_3df(float("nan"))
 
 
 def test_uniformity_test_behavior():
@@ -71,6 +77,8 @@ def test_uniformity_test_behavior():
         uniformity_test([50, 50, 50])
     with pytest.raises(ValueError):
         uniformity_test([50, 50, 50, -10])
+    with pytest.raises(TypeError):
+        uniformity_test([10, 10, 10, 10.5])  # not truncated to 10
 
 
 def test_per_check_mismatch_values():
