@@ -54,14 +54,15 @@ class Layout:
     """One attack's physical layout, under its wire-format ``kind`` tag.
 
     ``systems`` gives each named physical system of a group as its factors
-    in kron order; ``declared_systems`` builds them per declared pair.
-    ``phi_only`` is derived: true when no factor places a declared pair, so
-    the attack is only modeled for phi+ channels.  ``order`` names the
-    parties in the order a session lets them measure; Eve measures her
-    ``eve`` targets group by group at her place in it.  ``guess`` lists,
-    from her outcomes for one group, the equally likely guesses of Alice's
-    outcome she picks one from.  A layout is hashed and compared by identity,
-    so each one, ``dataclasses.replace`` copies included, is its own cache key.
+    in kron order; ``declared_systems`` builds them per declared pair, and
+    a declared pair that no factor places is only modeled as phi+.
+    ``phi_only`` is derived: true when no factor places either pair.
+    ``order`` names the parties in the order a session lets them measure;
+    Eve measures her ``eve`` targets group by group at her place in it.
+    ``guess`` lists, from her outcomes for one group, the equally likely
+    guesses of Alice's outcome she picks one from.  A layout is hashed and
+    compared by identity, so each one, ``dataclasses.replace`` copies
+    included, is its own cache key.
     Raises ValueError naming the field for an ``order`` that does not name
     alice and bob once each and eve once exactly when there are ``eve``
     targets, a ``guess`` given without them or missing with them, and a
@@ -85,8 +86,9 @@ class Layout:
         for name, targets in (("alice", (self.alice,)), ("bob", (self.bob,)), ("eve", self.eve)):
             if any(system not in self.systems for system, _ in targets):
                 raise ValueError(f"{self.kind}: {name} targets a system not in systems")
-        declared = {state for factors in self.systems.values() for state, _ in factors} & {"a", "b"}
-        object.__setattr__(self, "phi_only", not declared)
+        placed = {state for factors in self.systems.values() for state, _ in factors} & {"a", "b"}
+        object.__setattr__(self, "_placed", placed)
+        object.__setattr__(self, "phi_only", not placed)
         # built once per declared pair: a session looks its systems up per group
         object.__setattr__(self, "_prepared", lru_cache(maxsize=None)(partial(_prepare, self.systems)))
 
@@ -94,12 +96,12 @@ class Layout:
         """The memoized systems of a group declared as pairs (a, b); callers
         copy the dict before collapsing states in it.
 
-        Raises UnsupportedAttackError when the attack is only modeled for
-        phi+ channels and either declared pair is not phi+.
+        Raises UnsupportedAttackError when a declared pair that no factor
+        places is not phi+.
         """
-        if self.phi_only and (a is not PHI or b is not PHI):
+        if (a is not PHI and "a" not in self._placed) or (b is not PHI and "b" not in self._placed):
             raise UnsupportedAttackError(
-                f"{self.kind} is only modeled for phi+ channels, declared ({a}, {b})"
+                f"{self.kind} models a pair it does not place as phi+ only, declared ({a}, {b})"
             )
         return self._prepared(a, b)
 

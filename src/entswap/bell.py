@@ -1,13 +1,13 @@
 """Finite algebra of the four Bell states.
 
-The four states form a Klein four-group under component-wise XOR of their
-(phase, parity) bits, and entanglement swapping is literally that XOR: the
-unmeasured pair lands in ``init_a XOR init_b XOR measured``.  Each state is
-its 2-bit ordinal ``phase | parity << 1``, so the group law is integer
-``^``.  The classical wire encoding is NOT linear in these bits, so the
-codec is a fixed lookup table rather than arithmetic.  :class:`Record` is
-the JSON rule of the wire messages and reports: fields in order, tuples as
-lists.
+README's "Python API" section states the public algebra once: a
+``BellIndex`` is its 2-bit ordinal, ``swap_partner`` is XOR on (phase,
+parity), and the codebook maps each state to its wire bits.  Under XOR the
+four states form a Klein four-group, and entanglement swapping is its law:
+the unmeasured pair lands in ``init_a XOR init_b XOR measured``.  The
+codebook is NOT linear in these bits, so the codec is a fixed lookup table
+rather than arithmetic.  :class:`Record` is the JSON rule of the wire
+messages and reports: fields in order, tuples as lists.
 """
 
 from __future__ import annotations

@@ -1,28 +1,13 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``run``          one full session: report JSON, or a CSV table with one
-                   row per group whose columns are the group JSON keys,
-                   plus a summary line
-* ``attack``       one Monte Carlo batch for a chosen adversary
-* ``sweep``        adversary batches over a k = 1..k_checked grid,
-                   CSV summary plus per-point JSON files
-* ``oracle-check`` simulator self-checks (swap rule vs oracle, outcome
-                   uniformity, entangler structure), pass/fail table
-
-Exit codes are a stable contract: 0 success/accept, 1 I/O failure,
-2 usage error, 3 session aborted, 4 oracle check failed, 5 internal error
-(any unexpected exception inside the program, not a user mistake).
-
-Options resolve as: built-in defaults, then the ``--config`` file, then
-explicit flags.  One table, ``_OPTIONS``, states each shared option once:
-its flag, its built-in value and its help; ``--help`` shows each built-in
-value from it.  The config file is flat ``key = value`` text whose keys
-are the same names (``groups = 16``); unknown keys are rejected,
-and the flags' own argparse actions type and check its values.
-``ENTSWAP_SEED`` supplies the seed when ``--seed`` is absent.  All output
-is a deterministic function of the resolved options.
+README's "CLI" section states its contract once: the four subcommands
+(``run``, ``attack``, ``sweep``, ``oracle-check``), the flags and the
+``--config`` file, the exit codes (the ``EXIT_*`` constants below, 5 for
+any unexpected exception inside the program) and byte-identical output for
+the same resolved options.  One table, ``_OPTIONS``, states each shared
+option once: its flag, its built-in value and its help; ``--help`` and the
+config-file keys come from it, and the flags' own argparse actions type
+and check a config file's values.
 """
 
 from __future__ import annotations

@@ -83,13 +83,15 @@ def chi2_sf_3df(x: float) -> float:
     """P(X >= x) for a chi-square variable with 3 degrees of freedom.
 
     For odd degrees of freedom the survival function is elementary; with
-    3 df it is erfc(sqrt(x/2)) + sqrt(2x/pi) * exp(-x/2).  A negative or
-    NaN statistic raises ValueError.
+    3 df it is erfc(sqrt(x/2)) + sqrt(2x/pi) * exp(-x/2), and 0.0 at
+    infinity.  A negative or NaN statistic raises ValueError.
     """
     if not x >= 0:
         raise ValueError(f"chi-square statistic must be a non-negative number, got {x}")
     if x == 0:
         return 1.0
+    if x == math.inf:  # the closed form's second term is then inf * 0
+        return 0.0
     return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
 
 
@@ -342,12 +344,10 @@ def _class_columns(rng, n_pair: int, probs, size: int) -> Iterator[np.ndarray]:
 # The binomial kernel's bucket table has 2**_BUCKET_BITS int64 entries (256 KB).
 # A u closer than _TOL to a threshold is left to numpy: its sequential
 # subtraction rounds by at most 2**-54 a step, so a threshold moves < 1e-14.
-# Columns shorter than _KERNEL_MIN cost less through numpy's own call, and the
-# search for replayed rows reads _ROW_BLOCK rows at a time, so its mask is half
-# a chunk's column.
+# The search for replayed rows reads _ROW_BLOCK rows at a time, so its mask is
+# half a chunk's column.
 _BUCKET_BITS = 15
 _TOL = 1e-12
-_KERNEL_MIN = 1024
 _ROW_BLOCK = 1 << 15
 
 
@@ -362,18 +362,13 @@ def _binomial_column(rng, n: int, p: float, size: int) -> np.ndarray:
     rows it leaves at -1 are replayed one at a time from the saved state and
     settled against the thresholds.  A u within ``_TOL`` of a threshold, or
     past the last one (numpy draws again there), restores the state and
-    calls numpy.  Other generators, BTPE's range and short columns call
-    numpy directly.
+    calls numpy.  Other generators and BTPE's range call numpy directly.
     """
     flip, bitgen = p > 0.5, rng.bit_generator
     p_small = float(1.0 - p if flip else p)  # as numpy computes it
     if type(bitgen) is not np.random.PCG64 or not (n > 0 and 0.0 < p_small and p_small * n <= 30.0):
         return rng.binomial(n, p, size=size)
-    # looked up before the size test, so the first column drawn from (n, p) builds
-    # the table whatever its size, and a full chunk's working set holds none
     table, thresholds = _inversion_table(n, p_small)
-    if size < _KERNEL_MIN:
-        return rng.binomial(n, p, size=size)
     start, column = bitgen.state, np.empty(size, dtype=np.int64)
     u = column.view(np.float64)
     rng.random(out=u)

@@ -669,6 +669,15 @@ PINNED_RUNS = {
         "attack", "--adversary", "type2", "--groups", "2", "--check-fraction", "1.0",
         "--trials", "300", "--seed", "98", "--format", "both", "--out", "{out}/attack.json",
     ],
+    # one-class tables, then a two-class table's 1 000-trial binomial column
+    "attack-none": [
+        "attack", "--adversary", "none", "--groups", "16", "--trials", "1000", "--seed", "95",
+        "--format", "both", "--out", "{out}/attack.json",
+    ],
+    "attack-type1": [
+        "attack", "--adversary", "type1", "--groups", "16", "--trials", "1000", "--seed", "95",
+        "--format", "both", "--out", "{out}/attack.json",
+    ],
     "sweep": [
         "sweep", "--adversary", "type3", "--groups", "4", "--check-fraction", "0.5",
         "--trials", "200", "--seed", "99", "--out", "{out}/sweep",
@@ -687,6 +696,14 @@ PINNED_FILES = {
         "attack.csv": "6cc61b65755ad083c27e50e78c52ce856795d118c6731597e10792bf1366a3f5",
         "attack.json": "c10d0e6dbe6626f25c98c5e42f56d6799338128c9a0dc507f675d6ca37676403",
     },
+    "attack-none": {
+        "attack.csv": "a1d555fcfad3fbdefd5ad54db12e64831156a42be23c577f9297ebe54337be7f",
+        "attack.json": "5eb4deab682ef897c38228108bdb87851eaf8dd9cf824d621720d422fbdda269",
+    },
+    "attack-type1": {
+        "attack.csv": "debdb1d053cfd482e65cb0c0876d51b674ea96af530af13fa8d055a5c4ec14b1",
+        "attack.json": "0331640fed57a95119eb0b066b2e0ea2906dddb835c55f4b2f8faefde3f444f1",
+    },
     "sweep": {
         "sweep/sweep.csv": "9457df3e700febb8484fd336aaf363dea802b01613f4be00b61b7c951896b260",
         "sweep/type3_k1.json": "e4f31cf329b05f7f168b927f8aa68ef15bc99657cfddd4d76be2195920b126b1",
@@ -697,6 +714,8 @@ PINNED_STDOUT = {
     "run": "run: verdict=accept key_bits=16 keys_equal=true adversary=none seed=97\n",
     "run-eve": "run: verdict=accept key_bits=12 keys_equal=true adversary=type1 seed=96\n",
     "attack": "attack: strategy=type2 trials=300 detection=0.756667 analytic=0.750000\n",
+    "attack-none": "attack: strategy=none trials=1000 detection=0.000000 analytic=0.000000\n",
+    "attack-type1": "attack: strategy=type1 trials=1000 detection=0.000000 analytic=0.000000\n",
     "sweep": (
         "sweep: k=1 detection=0.720000 analytic=0.750000\n"
         "sweep: k=2 detection=0.935000 analytic=0.937500\n"

@@ -10,9 +10,9 @@ import dataclasses
 
 import pytest
 
-from entswap.adversary import LAYOUTS, STRATEGY_KINDS, Layout, make_strategy
+from entswap.adversary import LAYOUTS, STRATEGY_KINDS, Layout, UnsupportedAttackError, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex
-from entswap.protocol import SessionConfig, run_session
+from entswap.protocol import FixedList, SessionConfig, run_session
 from entswap.stats import (
     analytic_detection,
     analytic_eve_key,
@@ -70,6 +70,27 @@ def test_the_exact_rates():
     for k in range(1, 5):
         assert analytic_detection(HALF, k) == pytest.approx(1.0 - 0.5**k, abs=1e-12)
     assert analytic_eve_key(HALF, 4) == pytest.approx(0.25**4, abs=1e-15)
+
+
+@pytest.mark.parametrize("a", [s for s in BELL_ORDER if s is not PHI], ids=str)
+def test_a_declared_pair_it_does_not_place_must_be_phi_plus(a):
+    # the GHZ factor stands in for pair a whatever was declared, so only phi+ is modeled there
+    with pytest.raises(UnsupportedAttackError, match=r"declared \("):
+        joint_table(HALF, a, PHI)
+    with pytest.raises(UnsupportedAttackError):
+        class_table(HALF, a, PHI)
+    config = SessionConfig(n_groups=1, pair_states=FixedList((a, PHI)))
+    with pytest.raises(UnsupportedAttackError):
+        run_session(config, HALF)
+    with pytest.raises(UnsupportedAttackError):
+        monte_carlo(config, kind=HALF, trials=5)
+
+
+@pytest.mark.parametrize("b", BELL_ORDER, ids=str)
+def test_every_declared_pair_it_places_gives_the_same_rates(b):
+    table = class_table(HALF, PHI, b)
+    assert table.probs[table.mismatch].sum() == pytest.approx(0.5, abs=1e-12)
+    assert table.probs[table.eve_ok].sum() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eves_outcome_is_independent_of_alices():

@@ -58,6 +58,7 @@ def test_chi2_sf_3df_reference_points():
     # classic 3-df critical values
     assert chi2_sf_3df(7.815) == pytest.approx(0.05, abs=5e-4)
     assert chi2_sf_3df(11.345) == pytest.approx(0.01, abs=1e-4)
+    assert chi2_sf_3df(math.inf) == 0.0
     with pytest.raises(ValueError):
         chi2_sf_3df(-0.5)
     with pytest.raises(ValueError):

@@ -200,11 +200,11 @@ def test_the_binomial_kernel_at_numpys_thresholds(n, p):
         if t < 1 - 1e-9:
             for k in range(math.floor(t * 2**53) - 3, math.floor(t * 2**53) + 4):
                 make = partial(_generator_whose_next_double_is, k / 2**53)
-                assert _same_draw(make, n, p, stats._KERNEL_MIN), (t, k)
+                assert _same_draw(make, n, p, 1024), (t, k)
 
 
 def test_the_binomial_kernel_where_numpy_draws_again():
     # past the last threshold numpy's inversion draws a second double for that trial
     n, p = MAX_GROUPS, 1e-5
     assert stats._inversion_table(n, p)[1][-1] < 1 - 2**-53
-    assert _same_draw(lambda: _generator_whose_next_double_is(1 - 2**-53), n, p, stats._KERNEL_MIN)
+    assert _same_draw(lambda: _generator_whose_next_double_is(1 - 2**-53), n, p, 1024)
