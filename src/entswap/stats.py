@@ -23,11 +23,14 @@ class counts from the joint tables, and ``"statevector"`` runs one full
 session per trial as the reference.  README's "Python API" section states
 their streams, seeding, chunking and memory once, and how a two-class table's
 counts come from ``_binomial_column``, a kernel that returns numpy's
-``binomial`` draw bit for bit and calls numpy where it cannot.  The streams are pinned by
-``tests/test_stream_contract.py`` (each numpy ``Generator`` call, the
-two-class binomial column included), ``tests/test_table_backend.py`` (the
-plain multinomial reference sampler, the one-k sweep points and the worker
-count) and the CLI digests in ``tests/test_cli.py``.
+``binomial`` draw bit for bit and calls numpy where it cannot.  The table
+backend is ``monte_carlo_sweep``; ``monte_carlo`` runs it at one k.  The
+streams are pinned by ``tests/test_stream_contract.py`` (each numpy
+``Generator`` call, and the binomial kernel against numpy's ``binomial`` for
+every double it can see), ``tests/test_table_backend.py`` (``monte_carlo``'s
+reports and each chunk's tally against the plain multinomial reference
+sampler, each sweep point against the one-k batch, and sweeps at one and at
+several workers) and the CLI digests in ``tests/test_cli.py``.
 """
 
 from __future__ import annotations
@@ -267,27 +270,6 @@ def chunk_sizes(trials: int) -> Iterator[int]:
         yield min(CHUNK_TRIALS, trials - start)
 
 
-# A batch result: (detections, key agreements, Eve full-key hits, Alice's
-# outcome tallies in canonical order).
-Tally = tuple[int, int, int, np.ndarray]
-
-
-def _table_sweep(config: SessionConfig, layout: Layout, trials: int, seed: int, ks: tuple[int, ...]) -> tuple:
-    """Sample each trial's class counts per declared pair, chunk by chunk,
-    once for every check count in ``ks``.
-
-    The class tables are built here, on the calling thread; the chunks then
-    run on up to one thread per CPU this process may use (``_run_chunks``).
-    Their tallies are summed, so the result does not depend on the CPU
-    count.  Returns one detection count per k, then the agreements, Eve's
-    hits and Alice's tallies all k share.
-    """
-    pairs = Counter(declared_pairs(config))
-    tables = [(n_pair, class_table(layout, a, b)) for (a, b), n_pair in pairs.items()]
-    total = _run_chunks(partial(_table_chunk, tables, config.n_groups, ks, seed), trials)
-    return [int(d) for d in total[6:]], int(total[0]), int(total[1]), total[2:6]
-
-
 def _table_chunk(tables, n_groups: int, ks: tuple[int, ...], seed: int, c: int, size: int) -> np.ndarray:
     """Chunk ``c`` of a batch, ``size`` trials drawn from
     ``SeedSequence(seed, spawn_key=(c,))``.
@@ -478,31 +460,22 @@ def _run_chunks(chunk, trials: int) -> np.ndarray:
     return sum(totals)
 
 
-def _table_batch(config: SessionConfig, layout: Layout, trials: int, seed: int) -> Tally:
-    """The table sampler at the one check count ``config.k_checked``."""
-    (detections,), *shared = _table_sweep(config, layout, trials, seed, (config.k_checked,))
-    return (detections, *shared)
-
-
-def _statevector_batch(config: SessionConfig, layout: Layout, trials: int, seed: int) -> Tally:
-    """One full statevector session per trial, trial t reseeded from (seed, t)."""
-    detections = agreements = eve_hits = 0
-    counts = np.zeros(4, dtype=np.int64)
+def _statevector_batch(config: SessionConfig, layout: Layout, trials: int, seed: int) -> np.ndarray:
+    """One full statevector session per trial, trial t reseeded from (seed, t),
+    tallied as ``_table_chunk`` tallies a chunk at the one k ``config.k_checked``."""
+    total = np.zeros(7, dtype=np.int64)
     for t in range(trials):
         ss = np.random.SeedSequence(seed, spawn_key=(t,))
         report = run_session(config, layout, ss)
-        if report.verdict == "abort":
-            detections += 1
-        if all(g.alice_fragment == g.bob_fragment for g in report.groups):
-            agreements += 1
-        if report.eve is not None and report.eve.full_key_correct:
-            eve_hits += 1
+        total[0] += all(g.alice_fragment == g.bob_fragment for g in report.groups)
+        total[1] += report.eve is not None and report.eve.full_key_correct
         for g in report.groups:
-            counts[g.alice_outcome.ordinal] += 1
-    return detections, agreements, eve_hits, counts
+            total[2 + g.alice_outcome.ordinal] += 1
+        total[6] += report.verdict == "abort"
+    return total
 
 
-BACKENDS = {"table": _table_batch, "statevector": _statevector_batch}
+BACKENDS = ("table", "statevector")
 
 
 def monte_carlo(
@@ -516,7 +489,8 @@ def monte_carlo(
 
     ``backend`` is ``"table"`` (sampled from the joint outcome tables) or
     ``"statevector"`` (one full session per trial); both draw from the
-    same law and each is a pure function of its arguments.
+    same law and each is a pure function of its arguments.  The table
+    backend is ``monte_carlo_sweep`` at the one k ``config.k_checked``.
     `eve_key_rate` counts trials where the adversary reconstructed ALL n
     fragments, checked groups included; `key_agreement_rate` counts trials
     where every honest fragment pair agreed.  Raises TypeError for a config
@@ -524,27 +498,34 @@ def monte_carlo(
     """
     layout, trials, seed = _batch_args(config, kind, trials, seed)
     if backend not in BACKENDS:
-        raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {tuple(BACKENDS)}")
-    tally = BACKENDS[backend](config, layout, trials, seed)
-    return _mc_report(config, layout, config.k_checked, trials, seed, *tally)
+        raise ValueError(f"unknown Monte Carlo backend {backend!r}; expected one of {BACKENDS}")
+    if backend == "table":
+        return monte_carlo_sweep(config, layout, (config.k_checked,), trials, seed)[0]
+    total = _statevector_batch(config, layout, trials, seed)
+    return _mc_report(config, layout, trials, seed, config.k_checked, total, 6)
 
 
 def monte_carlo_sweep(
     config: SessionConfig, kind: str | Layout, ks: Iterable[int], trials: int, seed: int
 ) -> list[MCReport]:
-    """One table-backend report per check count in ``ks``, each equal to
+    """The table backend: one report per check count in ``ks``, each equal to
     ``monte_carlo`` of ``config`` at that k with the same trials and seed.
 
-    The class counts, agreements, Eve's hits and Alice's tallies are drawn
-    once per chunk for the whole grid; only each k's hypergeometric draw is
-    its own.  Every k is a whole number in [1, ``config.n_groups``].
+    The class tables are built here, on the calling thread; the chunks then
+    run on up to one thread per CPU this process may use (``_run_chunks``),
+    and their tallies are summed, so the reports do not depend on the CPU
+    count.  The class counts, agreements, Eve's hits and Alice's tallies are
+    drawn once per chunk for the whole grid; only each k's hypergeometric
+    draw is its own.  Every k is a whole number in [1, ``config.n_groups``].
     """
     layout, trials, seed = _batch_args(config, kind, trials, seed)
     ks = tuple(plain_int("k_checked", k, low=1) for k in ks)
     if not ks or max(ks) > config.n_groups:
         raise ValueError(f"a sweep needs check counts in [1, {config.n_groups}], got {ks}")
-    detections, *shared = _table_sweep(config, layout, trials, seed, ks)
-    return [_mc_report(config, layout, k, trials, seed, d, *shared) for k, d in zip(ks, detections)]
+    pairs = Counter(declared_pairs(config))
+    tables = [(n_pair, class_table(layout, a, b)) for (a, b), n_pair in pairs.items()]
+    total = _run_chunks(partial(_table_chunk, tables, config.n_groups, ks, seed), trials)
+    return [_mc_report(config, layout, trials, seed, k, total, 6 + i) for i, k in enumerate(ks)]
 
 
 def _batch_args(config: SessionConfig, kind: str | Layout, trials: int, seed: int) -> tuple[Layout, int, int]:
@@ -554,9 +535,11 @@ def _batch_args(config: SessionConfig, kind: str | Layout, trials: int, seed: in
     return make_strategy(kind), plain_int("trials", trials, low=1), plain_int("seed", seed)
 
 
-def _mc_report(config, layout, k, trials, seed, detections, agreements, eve_hits, counts) -> MCReport:
+def _mc_report(config, layout, trials, seed, k, total, i) -> MCReport:
     """The report of a batch of ``trials`` sessions of ``config`` under ``layout``
-    with k checked groups, from its ``Tally``."""
+    with k checked groups, from its tally ``total`` in ``_table_chunk``'s
+    layout, where k's detection count is ``total[i]``."""
+    detections, agreements, eve_hits = int(total[i]), int(total[0]), int(total[1])
     has_eve = layout.guess is not None
     return MCReport(
         strategy=layout.kind,
@@ -569,7 +552,7 @@ def _mc_report(config, layout, k, trials, seed, detections, agreements, eve_hits
         eve_key_rate=eve_hits / trials if has_eve else None,
         eve_key_interval=wilson_interval(eve_hits, trials) if has_eve else None,
         key_agreement_rate=agreements / trials,
-        outcome_counts=tuple(int(c) for c in counts),
+        outcome_counts=tuple(int(c) for c in total[2:6]),
         analytic_detection=analytic_detection(layout, k),
         analytic_eve_key=analytic_eve_key(layout, config.n_groups),
     )

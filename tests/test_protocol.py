@@ -153,7 +153,7 @@ def _no_work(*args, **kwargs):
 def test_only_a_session_config_runs(monkeypatch):
     # an object with SessionConfig's attributes would skip its MAX_GROUPS bound
     monkeypatch.setattr("entswap.protocol.declared_pairs", _no_work)
-    monkeypatch.setitem(stats.BACKENDS, "table", _no_work)
+    monkeypatch.setattr(stats, "_run_chunks", _no_work)
     look_alike = SimpleNamespace(
         n_groups=2 * MAX_GROUPS, pair_states=AllPhiPlus(), check_fraction=0.5, seed=0, k_checked=1
     )

@@ -5,9 +5,15 @@ pinned report digests, criterion 9 and the refactor-invariance tests all rest
 on these streams, so a numpy release that changes one of them fails many tests
 at once; this file names the call that moved.  Fingerprints were recorded on
 numpy 2.4.6, the only version they have been checked on.
+
+The binomial kernel is certified against numpy for every double it settles
+itself, by bucket or by replay, over every (n, p) the shipped layouts can send
+it; ``tests/kernel_certificate.py`` measures how far its thresholds lie from
+numpy's.
 """
 
 import hashlib
+import itertools
 import math
 from functools import partial
 
@@ -15,6 +21,8 @@ import numpy as np
 import pytest
 
 from entswap import stats
+from entswap.adversary import LAYOUTS, UnsupportedAttackError
+from entswap.bell import BELL_ORDER
 from entswap.protocol import MAX_GROUPS
 from entswap.stats import CHUNK_TRIALS, _settle
 
@@ -208,3 +216,115 @@ def test_the_binomial_kernel_where_numpy_draws_again():
     n, p = MAX_GROUPS, 1e-5
     assert stats._inversion_table(n, p)[1][-1] < 1 - 2**-53
     assert _same_draw(lambda: _generator_whose_next_double_is(1 - 2**-53), n, p, 1024)
+
+
+def _numpy_count(n, p, k):
+    """numpy's ``binomial(n, p)`` on a generator whose next double is k / 2**53,
+    or None where numpy draws a second double (past its last threshold)."""
+    rng = _generator_whose_next_double_is(k / 2**53)
+    before = rng.bit_generator.state["state"]
+    x = int(rng.binomial(n, p))
+    stepped = (before["state"] * _PCG64_MULTIPLIER + before["inc"]) % 2**128
+    return x if rng.bit_generator.state["state"]["state"] == stepped else None
+
+
+def _folded(p) -> float:
+    """p folded to at most 1/2, as ``_binomial_column`` and numpy fold it."""
+    return float(1.0 - p if p > 0.5 else p)
+
+
+def _kernel_domain() -> list[tuple[int, float]]:
+    """Every (n, p) the kernel inverts for, p folded: each two-class table of each
+    declared pair a shipped layout models, at every n with n * p <= 30, and the
+    inversion-range cases of ``_KERNEL_CASES``."""
+    ps = set()
+    for layout in LAYOUTS.values():
+        for a, b in itertools.product(BELL_ORDER, repeat=2):
+            try:
+                probs = stats.class_table(layout, a, b).probs
+            except UnsupportedAttackError:  # a pair the layout does not model
+                continue
+            if len(probs) == 2:
+                ps.add(_folded(probs[0]))
+    cases = {(n, p) for p in ps for n in range(1, MAX_GROUPS + 1) if n * p <= 30.0}
+    return sorted(cases | {(n, _folded(p)) for n, p in _KERNEL_CASES if n * _folded(p) <= 30.0})
+
+
+_GRID = 2**53  # random() returns k / _GRID for a whole k in [0, _GRID)
+_SHIFT = 53 - stats._BUCKET_BITS  # grid steps a bucket spans
+
+
+def _bucket(k: int) -> int:
+    """The bucket ``_binomial_column`` sends the double k / 2**53 to: the top
+    ``_BUCKET_BITS`` mantissa bits of u + 1.0, with 2.0 clipped into the last."""
+    word = int((np.float64(k / _GRID) + 1.0).view(np.int64))
+    return min((word >> (52 - stats._BUCKET_BITS)) - (0x3FF << stats._BUCKET_BITS), (1 << stats._BUCKET_BITS) - 1)
+
+
+def _ends(inside, lo, hi):
+    """The lowest and highest k where ``inside(k)``, a predicate that holds on
+    one run of the grid, searched from estimates ``lo`` and ``hi`` a step or two
+    off the run's ends; None where it holds nowhere between them."""
+    while lo <= hi and not inside(lo):
+        lo += 1
+    while hi >= lo and not inside(hi):
+        hi -= 1
+    if lo > hi:
+        return None
+    while inside(lo - 1):
+        lo -= 1
+    while inside(hi + 1):
+        hi += 1
+    return lo, hi
+
+
+def _bucket_runs(n, p):
+    """(x, lowest k, highest k) for each maximal run of ``_inversion_table(n, p)``
+    buckets that hold one count x: the ends of the doubles k / 2**53 that
+    ``_bucket`` sends into the run."""
+    table = stats._inversion_table(n, p)[0]
+    edges = [0, *(np.flatnonzero(np.diff(table)) + 1).tolist(), len(table)]
+    for start, stop in zip(edges, edges[1:]):
+        if table[start] >= 0:
+            inside = lambda k: 0 <= k < _GRID and start <= _bucket(k) < stop  # noqa: E731
+            yield (int(table[start]), *_ends(inside, (start << _SHIFT) - 2, (stop << _SHIFT) + 1))
+
+
+def _settled_runs(n, p):
+    """(x, lowest k, highest k) for each count x that ``_settle`` gives some double
+    against the thresholds of ``_inversion_table(n, p)``: the ends of the doubles
+    k / 2**53 it settles to x."""
+    thresholds = stats._inversion_table(n, p)[1]
+    for x, t in enumerate(thresholds):
+        inside = lambda k: 0 <= k < _GRID and stats._settle(thresholds, k / _GRID) == x  # noqa: E731
+        lo = 0 if x == 0 else math.ceil((thresholds[x - 1] + stats._TOL) * _GRID) - 2
+        ends = _ends(inside, lo, math.floor((t - stats._TOL) * _GRID) + 2)
+        if ends:
+            yield (x, *ends)
+
+
+@pytest.mark.parametrize("runs", [_bucket_runs, _settled_runs], ids=["bucket", "replay"])
+def test_the_binomial_kernel_gives_numpys_count_at_both_ends_of_every_run(runs):
+    # numpy's count is nondecreasing in u (the next test), so a run of doubles the
+    # kernel gives one count, by its table or by replaying the row through _settle,
+    # is right for every double in it iff numpy gives that count at the run's ends;
+    # the rest the kernel hands to numpy
+    domain = _kernel_domain()
+    assert (16, 0.25) in domain and (MAX_GROUPS, 1e-5) in domain
+    for n, p in domain:
+        for x, lo, hi in runs(n, p):
+            for k in (lo, hi):
+                assert _numpy_count(n, p, k) == x, (n, p, x, k / _GRID)
+
+
+def test_numpys_inversion_count_is_nondecreasing_in_the_double():
+    # sampled: a spread of tables, random doubles below each one's last threshold,
+    # and two grid steps either side of each other threshold
+    rng = np.random.default_rng(SEED)
+    for n, p in _kernel_domain()[::8]:
+        thresholds = stats._inversion_table(n, p)[1]
+        top = min(math.floor((thresholds[-1] - stats._TOL) * _GRID), _GRID)
+        ks = rng.integers(0, top, size=64).tolist()
+        ks += [math.floor(t * _GRID) + d for t in thresholds[:-1] for d in range(-2, 3)]
+        counts = [_numpy_count(n, p, k) for k in sorted(ks) if 0 <= k < top]
+        assert None not in counts and counts == sorted(counts), (n, p)

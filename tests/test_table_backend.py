@@ -32,7 +32,6 @@ from entswap.cli import EXIT_INTERNAL, main
 from entswap.stats import (
     CHUNK_TRIALS,
     ClassTable,
-    _table_batch,
     chunk_sizes,
     class_table,
     half_width,
@@ -202,10 +201,12 @@ def test_table_sampler_matches_the_multinomial_reference(kind, policy, fraction)
     # one class (none), two (type1, type3) and four (type2); three chunks, the last partial
     config = SessionConfig(n_groups=5, pair_states=policy, check_fraction=fraction)
     for trials, seed in [(1, 2), (2 * CHUNK_TRIALS + 3, 9)]:
-        got = _table_batch(config, kind, trials, seed)
-        want = _reference_table_batch(config, kind, trials, seed)
-        assert got[:3] == want[:3], (trials, got, want)
-        assert got[3].tolist() == want[3].tolist()
+        got = monte_carlo(config, kind, trials, seed)
+        detections, agreements, eve_hits, counts = _reference_table_batch(config, kind, trials, seed)
+        assert got.detection_rate == detections / trials, (trials, got, detections)
+        assert got.key_agreement_rate == agreements / trials, (trials, got, agreements)
+        assert got.eve_key_rate == (None if kind == "none" else eve_hits / trials), (trials, got, eve_hits)
+        assert got.outcome_counts == tuple(counts.tolist())
 
 
 def _reference_chunk(tables, n_groups, ks, seed, c, size):
@@ -313,7 +314,7 @@ def _no_work(*args, **kwargs):
     ids=["not-a-config", "empty", "zero", "above-n", "bool"],
 )
 def test_a_sweep_refuses_bad_arguments_before_any_work(monkeypatch, config, ks, error, match):
-    monkeypatch.setattr(stats, "_table_sweep", _no_work)
+    monkeypatch.setattr(stats, "_run_chunks", _no_work)
     with pytest.raises(error, match=match):
         monte_carlo_sweep(config, "type2", ks, 10, 0)
 
@@ -329,14 +330,11 @@ def test_a_sweep_refuses_bad_arguments_before_any_work(monkeypatch, config, ks, 
 def test_tallies_do_not_depend_on_the_worker_count(kind, policy, monkeypatch):
     # four chunks, the last partial: inline on one worker, on three threads otherwise
     config = SessionConfig(n_groups=5, pair_states=policy)
-    tallies = []
+    sweeps = []
     for workers in (1, 3):
         monkeypatch.setattr(stats, "_cpus", lambda: workers)
-        detections, agreements, eve_hits, counts = stats._table_sweep(
-            config, kind, 3 * CHUNK_TRIALS + 5, 6, (1, 2, 3)
-        )
-        tallies.append((detections, agreements, eve_hits, counts.tolist()))
-    assert tallies[0] == tallies[1]
+        sweeps.append(monte_carlo_sweep(config, kind, (1, 2, 3), 3 * CHUNK_TRIALS + 5, 6))
+    assert sweeps[0] == sweeps[1]
 
 
 def test_many_workers_on_tiny_chunks_lose_no_chunk(monkeypatch):
@@ -344,18 +342,17 @@ def test_many_workers_on_tiny_chunks_lose_no_chunk(monkeypatch):
     # twice or lost between workers would change the tallies
     monkeypatch.setattr(stats, "CHUNK_TRIALS", 7)
     config = SessionConfig(n_groups=3)
-    tallies = []
+    sweeps = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 8):
             monkeypatch.setattr(stats, "_cpus", lambda: workers)
-            detections, agreements, eve_hits, counts = stats._table_sweep(config, "type2", 2100, 3, (1, 3))
-            tallies.append((detections, agreements, eve_hits, counts.tolist()))
+            sweeps.append(monte_carlo_sweep(config, "type2", (1, 3), 2100, 3))
     finally:
         sys.setswitchinterval(interval)
-    assert tallies[0] == tallies[1]
-    assert sum(tallies[0][3]) == 3 * 2100
+    assert sweeps[0] == sweeps[1]
+    assert sum(sweeps[0][0].outcome_counts) == 3 * 2100
 
 
 def _spy_on_chunks(monkeypatch, workers, fail_on=None):
