@@ -323,12 +323,12 @@ def _class_columns(rng, n_pair: int, probs, size: int) -> Iterator[np.ndarray]:
     yield np.subtract(n_pair, column, out=column)
 
 
-# The binomial kernel's bucket table has 2**_BUCKET_BITS int64 entries (256 KB).
+# The binomial kernel's bucket table has 2**_BUCKET_BITS int8 entries (128 KB).
 # A u closer than _TOL to a threshold is left to numpy: its sequential
 # subtraction rounds by at most 2**-54 a step, so a threshold moves < 1e-14.
 # The search for replayed rows reads _ROW_BLOCK rows at a time, so its mask is
-# half a chunk's column.
-_BUCKET_BITS = 15
+# half a chunk's int8 counts.
+_BUCKET_BITS = 17
 _TOL = 1e-12
 _ROW_BLOCK = 1 << 15
 
@@ -339,29 +339,29 @@ def _binomial_column(rng, n: int, p: float, size: int) -> np.ndarray:
 
     Where numpy inverts (n * min(p, 1 - p) <= 30) on a PCG64 generator, a
     trial's count is the number of the sampler's thresholds below its
-    ``random()`` double u, one double per trial as numpy draws them.
-    ``_inversion_table`` maps the top mantissa bits of u to that count; the
-    rows it leaves at -1 are replayed one at a time from the saved state and
-    settled against the thresholds.  A u within ``_TOL`` of a threshold, or
-    past the last one (numpy draws again there), restores the state and
-    calls numpy.  Other generators and BTPE's range call numpy directly.
+    ``random()`` double u = (word >> 11) * 2**-53, one raw word per trial as
+    numpy draws them.  So u's bucket, floor(u * 2**_BUCKET_BITS), is the
+    word's top ``_BUCKET_BITS`` bits, and ``_inversion_table`` maps it to that
+    count; the rows it leaves at -1 are replayed one at a time from the saved
+    state and settled against the thresholds.  A u within ``_TOL`` of a
+    threshold, or past the last one (numpy draws again there), restores the
+    state and calls numpy.  Other generators and BTPE's range call numpy
+    directly.  The int8 counts are gathered into the first bytes of the words'
+    own buffer and widened in place, so a chunk holds one int64 column.
     """
     flip, bitgen = p > 0.5, rng.bit_generator
     p_small = float(1.0 - p if flip else p)  # as numpy computes it
     if type(bitgen) is not np.random.PCG64 or not (n > 0 and 0.0 < p_small and p_small * n <= 30.0):
         return rng.binomial(n, p, size=size)
     table, thresholds = _inversion_table(n, p_small)
-    start, column = bitgen.state, np.empty(size, dtype=np.int64)
-    u = column.view(np.float64)
-    rng.random(out=u)
-    # u + 1 lies in [1, 2], so its top mantissa bits are u's bucket; 2.0, which the
-    # largest u rounds to, is one past the table and is clipped into the last bucket
-    np.add(u, 1.0, out=u)
-    np.right_shift(column, 52 - _BUCKET_BITS, out=column)
-    np.subtract(column, 0x3FF << _BUCKET_BITS, out=column)
-    np.take(table, column, out=column, mode="clip")
+    start, words = bitgen.state, bitgen.random_raw(size)
+    column = np.right_shift(words, 64 - _BUCKET_BITS, out=words).view(np.int64)
+    # count i lands in byte i, inside word i // 8, which the take has already read;
+    # every index is in range, and "wrap" writes out directly where "raise" buffers it
+    counts = column.view(np.int8)[:size]
+    np.take(table, column, out=counts, mode="wrap")
     rows = [
-        s + r for s in range(0, size, _ROW_BLOCK) for r in np.flatnonzero(column[s : s + _ROW_BLOCK] < 0).tolist()
+        s + r for s in range(0, size, _ROW_BLOCK) for r in np.flatnonzero(counts[s : s + _ROW_BLOCK] < 0).tolist()
     ]
     if rows:
         end, done = bitgen.state, 0
@@ -372,8 +372,14 @@ def _binomial_column(rng, n: int, p: float, size: int) -> np.ndarray:
             if x is None:
                 bitgen.state = start
                 return rng.binomial(n, p, size=size)
-            column[row], done = x, row + 1
+            counts[row], done = x, row + 1
         bitgen.state = end
+    # widen in place: column[cut:] starts at byte 8 * cut >= size, past every count, so only
+    # the head under column[:cut] is set aside (a cast over overlapping views reads clobbered bytes)
+    cut = -(-size // 8)
+    head = counts[:cut].copy()
+    column[cut:] = counts[cut:]
+    column[:cut] = head
     if flip:
         np.subtract(n, column, out=column)
     return column
@@ -391,7 +397,8 @@ def _inversion_table(n: int, p: float) -> tuple[np.ndarray, list[float]]:
     sum (``fsum``), which numpy's sequential subtraction matches to within
     1e-14.  Bucket b covers u in [b, b + 1) / 2**_BUCKET_BITS and holds its
     count, or -1 where it lies within ``_TOL`` of a threshold or past the
-    last one.
+    last one.  A count is at most ``bound`` < 30 + 10 * sqrt(31) < 86, so the
+    table is int8.
     """
     q, mean = 1.0 - p, n * p
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
@@ -400,7 +407,7 @@ def _inversion_table(n: int, p: float) -> tuple[np.ndarray, list[float]]:
         masses.append((n - x + 1) * p * masses[-1] / (x * q))
     thresholds = [math.fsum(masses[: x + 1]) for x in range(bound + 1)]
     buckets = 1 << _BUCKET_BITS
-    table, clear = np.full(buckets, -1, dtype=np.int64), 0
+    table, clear = np.full(buckets, -1, dtype=np.int8), 0
     for x, t in enumerate(thresholds):
         table[clear : max(math.floor((t - _TOL) * buckets), 0)] = x
         clear = math.floor((t + _TOL) * buckets) + 1

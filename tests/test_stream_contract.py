@@ -147,6 +147,15 @@ def test_the_binomial_kernel_is_numpys_binomial(n, p, size):
     assert _same_draw(lambda: np.random.default_rng(SEED), n, p, size)
 
 
+# the kernel gathers int8 counts into its words' buffer and widens them in place,
+# setting aside the first ceil(size / 8) rows; these sizes sit either side of that cut
+@pytest.mark.parametrize("size", [8, 9, 16, 17])
+@pytest.mark.parametrize("p", [0.25, 0.75])
+def test_the_binomial_kernel_widens_every_row(p, size):
+    for seed in range(8):
+        assert _same_draw(partial(np.random.default_rng, seed), 16, p, size), seed
+
+
 def test_the_binomial_kernel_calls_numpy_on_other_generators():
     # an MT19937 state holds an array, so the states are compared by what they draw next
     kernel, numpy = (np.random.Generator(np.random.MT19937(SEED)) for _ in range(2))
@@ -256,9 +265,29 @@ _SHIFT = 53 - stats._BUCKET_BITS  # grid steps a bucket spans
 
 def _bucket(k: int) -> int:
     """The bucket ``_binomial_column`` sends the double k / 2**53 to: the top
-    ``_BUCKET_BITS`` mantissa bits of u + 1.0, with 2.0 clipped into the last."""
-    word = int((np.float64(k / _GRID) + 1.0).view(np.int64))
-    return min((word >> (52 - stats._BUCKET_BITS)) - (0x3FF << stats._BUCKET_BITS), (1 << stats._BUCKET_BITS) - 1)
+    ``_BUCKET_BITS`` bits of its word k << 11, floor(k / 2**53 * 2**_BUCKET_BITS)."""
+    return k >> _SHIFT
+
+
+@pytest.mark.parametrize("n, p", [(4, 0.3), (16, 0.25), (16, 0.75), (MAX_GROUPS, 2.99e-4)])
+def test_the_binomial_kernel_at_both_ends_of_its_buckets(n, p):
+    # the first and the last double of the first two buckets, the last one (whose
+    # last double is 1 - 2**-53), and the buckets either side of each threshold's
+    _, thresholds = stats._inversion_table(n, _folded(p))
+    last = (1 << stats._BUCKET_BITS) - 1
+    near = {_bucket(math.floor(t * _GRID)) + d for t in thresholds if t < 1 for d in (-1, 1)}
+    for b in sorted({0, 1, last} | {b for b in near if 0 <= b <= last}):
+        for k in (b << _SHIFT, ((b + 1) << _SHIFT) - 1):
+            make = partial(_generator_whose_next_double_is, k / _GRID)
+            assert _same_draw(make, n, p, 1024), (b, k / _GRID)
+
+
+def test_every_inversion_table_fits_int8():
+    # a table holds the unflipped count, at most the inversion range's bound
+    # 30 + 10 * sqrt(31) < 86; the last two cases sit at n * p = 30
+    for n, p in _kernel_domain() + [(100, 0.3), (MAX_GROUPS, 3e-4)]:
+        table, thresholds = stats._inversion_table(n, p)
+        assert table.dtype == np.int8 and table.max() <= len(thresholds) - 1 <= 127, (n, p)
 
 
 def _ends(inside, lo, hi):
