@@ -41,8 +41,10 @@ EXIT_INTERNAL = 5
 
 _DIST_ATOL = 1e-9
 
-# encoder tokens per report write: a few tens of kB
-_JSON_BATCH = 1 << 13
+# encoder tokens per report write: a few tens of kB.  The batch's token strings
+# are all held until they are joined, so it must also stay well under half of
+# the report's own memory (~1 MB at 2 000 groups)
+_JSON_BATCH = 1 << 12
 
 
 class CliUsageError(Exception):

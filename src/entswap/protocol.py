@@ -25,8 +25,9 @@ how each is seeded.  ``tests/test_protocol.py`` pins them: the honest
 stream does not depend on the adversary, a ``seed_seq`` is not advanced,
 and Eve's stream is built only where she measures.
 
-Each group's fragments are read from ``FRAGMENT_HALVES``, derived once
-from the swap rule and the codebook.
+Each group's fragments are read whole from ``FRAGMENTS``, derived once from
+the swap rule and the codebook, so a report holds one string per distinct
+fragment.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ MAX_GROUPS = 100_000
 # reading it from numpy here would load numpy.random (~6 MB) at import
 _DEFAULT_POOL_SIZE = 4
 
-# FRAGMENT_HALVES[a ^ b][o] is (own, peer): the codebook halves of a party that
-# measured o in a group declared (a, b), its own outcome's and the inferred
-# peer's.  swap_partner depends on a and b only through a ^ b.  Alice's fragment
-# is own + peer and Bob's peer + own: Alice's outcome is encoded first.
-FRAGMENT_HALVES: tuple[tuple[tuple[str, str], ...], ...] = tuple(
+# FRAGMENTS[a ^ b][o] is (as Alice, as Bob): the whole fragments a party that
+# measured o writes in a group declared (a, b).  swap_partner depends on a and b
+# only through a ^ b, and Alice's outcome is encoded first.  Every record shares
+# these 32 strings.
+FRAGMENTS: tuple[tuple[tuple[str, str], ...], ...] = tuple(
     tuple(
-        (fragment[:2], fragment[2:])
-        for fragment in (group_key_fragment(o, swap_partner(x, BellIndex.PHI_PLUS, o)) for o in BELL_ORDER)
+        (group_key_fragment(o, peer), group_key_fragment(peer, o))
+        for o, peer in ((o, swap_partner(x, BellIndex.PHI_PLUS, o)) for o in BELL_ORDER)
     )
     for x in BELL_ORDER
 )
@@ -365,12 +366,8 @@ def run_session(
     checked = set(indices)
     groups = []
     for i, ((a, b), alice, bob) in enumerate(zip(pairs, outcomes["alice"], outcomes["bob"])):
-        halves = FRAGMENT_HALVES[a ^ b]
-        alice_own, alice_peer = halves[alice]
-        bob_own, bob_peer = halves[bob]
-        groups.append(
-            GroupRecord(i, a, b, alice, bob, alice_own + alice_peer, bob_peer + bob_own, i in checked)
-        )
+        fragments = FRAGMENTS[a ^ b]
+        groups.append(GroupRecord(i, a, b, alice, bob, fragments[alice][0], fragments[bob][1], i in checked))
     request = CheckRequest(indices=indices, fragments=tuple(groups[i].bob_fragment for i in indices))
     mismatched = tuple(i for i in indices if groups[i].alice_fragment != groups[i].bob_fragment)
     verdict = VerdictMessage(accept=not mismatched, mismatched_groups=mismatched)

@@ -12,7 +12,7 @@ from entswap import cli, protocol, stats
 from entswap.adversary import make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
 from entswap.protocol import (
-    FRAGMENT_HALVES,
+    FRAGMENTS,
     MAX_GROUPS,
     AllPhiPlus,
     FixedList,
@@ -357,7 +357,18 @@ def test_only_a_layout_where_eve_measures_builds_her_stream(monkeypatch):
 
 def test_fragment_table_is_the_swap_rule_and_codebook():
     for a, b, o in itertools.product(BELL_ORDER, repeat=3):
-        own, peer = FRAGMENT_HALVES[a ^ b][o]
+        as_alice, as_bob = FRAGMENTS[a ^ b][o]
         # o as Alice's outcome, then as Bob's: Alice's outcome is encoded first
-        assert own + peer == group_key_fragment(o, swap_partner(a, b, o))
-        assert peer + own == group_key_fragment(swap_partner(a, b, o), o)
+        assert as_alice == group_key_fragment(o, swap_partner(a, b, o))
+        assert as_bob == group_key_fragment(swap_partner(a, b, o), o)
+
+
+def test_every_record_shares_the_tables_fragment_strings():
+    # one string per distinct fragment: a report holds at most 32 fragment objects
+    report = run_session(SessionConfig(n_groups=400, pair_states=RandomKnown(seed=3)))
+    assert {g.pair_a_state ^ g.pair_b_state for g in report.groups} == set(range(4))
+    for g in report.groups:
+        fragments = FRAGMENTS[g.pair_a_state ^ g.pair_b_state]
+        assert g.alice_fragment is fragments[g.alice_outcome][0]
+        assert g.bob_fragment is fragments[g.bob_outcome][1]
+    assert len({id(f) for g in report.groups for f in (g.alice_fragment, g.bob_fragment)}) <= 32
