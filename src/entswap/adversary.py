@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .bell import BellIndex, Record, group_key_fragment, swap_partner
+# group_key_fragment and swap_partner stay bound here only for perfbench/spans.py's wrappers
+from .bell import FRAGMENTS, BellIndex, Record, group_key_fragment, swap_partner
 from .statevector import StateVector, make_bell, make_ghz3, measure_bell, tensor
 
 if TYPE_CHECKING:
@@ -252,16 +253,18 @@ def eve_guess_key(
     ``outcomes`` is what :func:`eve_measure` returned, aligned with
     ``groups``.  She legitimately knows the declared pair states, and which
     groups were checked (both are public); Alice's actual fragments are
-    used only to score her guesses.
+    used only to score her guesses.  One ``rng.integers`` call with one
+    bound per group picks each group's guess; a bound of 1, a lone guess,
+    draws nothing.  Her fragment is the one Alice would write had she
+    measured the guess, read from ``FRAGMENTS``.
     """
     if layout.guess is None:
         return None
-    fragments: list[str] = []
-    for g, eve in zip(groups, outcomes, strict=True):
-        guesses = layout.guess(eve)
-        # only a real choice draws: a numpy call per group would double a lone guess's cost
-        guess = guesses[int(rng.integers(0, len(guesses)))] if len(guesses) > 1 else guesses[0]
-        fragments.append(group_key_fragment(guess, swap_partner(g.pair_a_state, g.pair_b_state, guess)))
+    options = [layout.guess(eve) for eve in outcomes]
+    picks = rng.integers(0, [len(o) for o in options]).tolist()
+    fragments = [
+        FRAGMENTS[g.pair_a_state ^ g.pair_b_state][o[i]][0] for g, o, i in zip(groups, options, picks, strict=True)
+    ]
     correct = tuple(bits == g.alice_fragment for bits, g in zip(fragments, groups))
     return EveReport(
         guessed_key="".join(bits for bits, g in zip(fragments, groups) if not g.checked),

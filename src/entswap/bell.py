@@ -6,8 +6,11 @@ parity), and the codebook maps each state to its wire bits.  Under XOR the
 four states form a Klein four-group, and entanglement swapping is its law:
 the unmeasured pair lands in ``init_a XOR init_b XOR measured``.  The
 codebook is NOT linear in these bits, so the codec is a fixed lookup table
-rather than arithmetic.  :class:`Record` is the JSON rule of the wire
-messages and reports: fields in order, tuples as lists.
+rather than arithmetic.  ``FRAGMENTS`` applies the swap rule and the
+codebook once, as the whole fragment each party writes for each outcome;
+sessions, Eve's guess and the class tables all read it.  :class:`Record` is
+the JSON rule of the wire messages and reports: fields in order, tuples as
+lists.
 """
 
 from __future__ import annotations
@@ -68,6 +71,14 @@ _BY_NAME = dict(zip(BELL_NAMES, BELL_ORDER))
 
 # Wire codebook: phi+, psi-, psi+, phi- encode as 00, 01, 10, 11.
 _ENCODE = ("00", "11", "10", "01")
+
+# FRAGMENTS[a ^ b][o] is (as Alice, as Bob): the whole fragments a party that
+# measured o writes in a group declared (a, b), whose peer measured a ^ b ^ o by
+# the swap rule; Alice's outcome is encoded first.  Every record shares these 32
+# strings, and a check mismatches iff Alice's [0] is not Bob's [1].
+FRAGMENTS: tuple[tuple[tuple[str, str], ...], ...] = tuple(
+    tuple((_ENCODE[o] + _ENCODE[x ^ o], _ENCODE[x ^ o] + _ENCODE[o]) for o in range(4)) for x in range(4)
+)
 
 
 class Record:

@@ -25,9 +25,9 @@ how each is seeded.  ``tests/test_protocol.py`` pins them: the honest
 stream does not depend on the adversary, a ``seed_seq`` is not advanced,
 and Eve's stream is built only where she measures.
 
-Each group's fragments are read whole from ``FRAGMENTS``, derived once from
-the swap rule and the codebook, so a report holds one string per distinct
-fragment.
+Each group's fragments are read whole from ``bell.FRAGMENTS``, the swap
+rule and the codebook applied once, so a report holds one string per
+distinct fragment.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .adversary import (
     make_strategy,
     measure,
 )
-from .bell import BELL_NAMES, BELL_ORDER, BellIndex, Record, group_key_fragment, swap_partner
+# group_key_fragment and swap_partner stay bound here only for perfbench/spans.py's wrappers
+from .bell import BELL_NAMES, BELL_ORDER, FRAGMENTS, BellIndex, Record, group_key_fragment, swap_partner
 
 # Upper bound on the groups of every SessionConfig.  CI's "Largest run's cost"
 # step prints the wall time and peak RSS of a `run` of this many groups; a
@@ -60,18 +61,6 @@ MAX_GROUPS = 100_000
 # the pool size of a SeedSequence built from a seed alone; a literal, since
 # reading it from numpy here would load numpy.random (~6 MB) at import
 _DEFAULT_POOL_SIZE = 4
-
-# FRAGMENTS[a ^ b][o] is (as Alice, as Bob): the whole fragments a party that
-# measured o writes in a group declared (a, b).  swap_partner depends on a and b
-# only through a ^ b, and Alice's outcome is encoded first.  Every record shares
-# these 32 strings.
-FRAGMENTS: tuple[tuple[tuple[str, str], ...], ...] = tuple(
-    tuple(
-        (group_key_fragment(o, peer), group_key_fragment(peer, o))
-        for o, peer in ((o, swap_partner(x, BellIndex.PHI_PLUS, o)) for o in BELL_ORDER)
-    )
-    for x in BELL_ORDER
-)
 
 
 @dataclass(frozen=True)
@@ -327,9 +316,9 @@ def run_session(
     actually put on the channel lives only in the group channels.  The
     honest stream draws every Alice outcome, then every Bob outcome, then
     the checked subset; Eve's stream draws her outcomes, then her pick of
-    each group's guess.  ``seed_seq``, when given, replaces
-    ``SeedSequence(config.seed)`` as the root of both streams and is not
-    advanced.  Raises TypeError for a config that is not a
+    each group's guess in one ``integers`` call.  ``seed_seq``, when given,
+    replaces ``SeedSequence(config.seed)`` as the root of both streams and
+    is not advanced.  Raises TypeError for a config that is not a
     ``SessionConfig``, which bounds the groups by ``MAX_GROUPS``, for an
     adversary that is not a ``Layout`` and for a ``seed_seq`` that is not a
     ``SeedSequence``.

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .adversary import Layout, make_strategy
-from .bell import BellIndex, Record, swap_partner
+from .bell import FRAGMENTS, BellIndex, Record
 from .protocol import SessionConfig, declared_pairs, declared_state, plain_int, run_session
 from .statevector import live_outcomes, project_bell
 
@@ -189,7 +189,8 @@ def class_table(layout: Layout, a: BellIndex = _PHI, b: BellIndex = _PHI) -> Cla
     # each guess takes the cell's whole mass; the renormalization below shares it out exactly
     for (alice, bob, *eve), p in joint_table(layout, a, b).items():
         for guess in layout.guess(tuple(eve)) if layout.guess else (alice,):
-            label = (bob is not swap_partner(a, b, alice), guess is alice)
+            # the session's own check: Alice's fragment against Bob's
+            label = (FRAGMENTS[a ^ b][alice][0] != FRAGMENTS[a ^ b][bob][1], guess is alice)
             mass.setdefault(label, np.zeros(4))[alice.ordinal] += p
     labels = sorted(mass)
     cells = np.array([mass[label] for label in labels])

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entswap import cli, protocol, stats
-from entswap.adversary import make_strategy
+from entswap import bell, cli, protocol, stats
+from entswap.adversary import STRATEGY_KINDS, make_strategy
 from entswap.bell import BELL_ORDER, BellIndex, group_key_fragment, swap_partner
 from entswap.protocol import (
     FRAGMENTS,
@@ -372,3 +372,41 @@ def test_every_record_shares_the_tables_fragment_strings():
         assert g.alice_fragment is fragments[g.alice_outcome][0]
         assert g.bob_fragment is fragments[g.bob_outcome][1]
     assert len({id(f) for g in report.groups for f in (g.alice_fragment, g.bob_fragment)}) <= 32
+
+
+def test_the_session_reads_bells_fragment_table():
+    assert protocol.FRAGMENTS is bell.FRAGMENTS
+
+
+class _CountingGenerator:
+    """A generator that counts its ``integers`` calls and passes every call through."""
+
+    def __init__(self, rng):
+        self.rng, self.integers_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_eves_step_makes_at_most_one_integers_call(monkeypatch, kind):
+    # her pick of every group's guess is one draw, whatever the group count
+    config, layout = SessionConfig(n_groups=5), make_strategy(kind)
+    want = run_session(config, layout).to_json_dict()
+    eve_streams = []
+    child_rng = protocol._child_rng
+
+    def counted(*args):
+        rng = _CountingGenerator(child_rng(*args))
+        if args[-1] == 1:
+            eve_streams.append(rng)
+        return rng
+
+    monkeypatch.setattr(protocol, "_child_rng", counted)
+    assert run_session(config, layout).to_json_dict() == want
+    assert len(eve_streams) == (kind != "none")
+    assert all(rng.integers_calls <= 1 for rng in eve_streams), [rng.integers_calls for rng in eve_streams]

@@ -31,6 +31,8 @@ SEED = 20030219
 _CHUNK = np.random.SeedSequence(SEED, spawn_key=(3,))
 # mismatched groups of 16 in four trials, whose checked subsets draw a hypergeometric
 _MISMATCHED = np.array([0, 3, 8, 16])
+# Eve's guess counts per group, lone guesses among them, as one array of bounds
+_BOUNDS = [1, 2, 1, 3, 4, 1, 5, 2, 1, 1]
 
 
 # call, as the simulator makes it -> its values, given a generator seeded with SEED
@@ -45,6 +47,7 @@ _DRAWS = {
     "random(size)": lambda rng: rng.random(8),
     "integers(0, 4, size)": lambda rng: rng.integers(0, 4, size=16),
     "integers(0, m)": lambda rng: [rng.integers(0, m) for m in (2, 3, 4, 5)],
+    "integers(0, bounds)": lambda rng: rng.integers(0, _BOUNDS),
     "choice(n, size=k, replace=False)": lambda rng: rng.choice(100, size=7, replace=False),
     "multinomial(n, probs)": lambda rng: rng.multinomial(40, [0.5, 0.25, 0.125, 0.125]),
     "multinomial(n, probs, size)": lambda rng: rng.multinomial(16, [0.5, 0.25, 0.25], size=4),
@@ -61,6 +64,7 @@ PINNED = {
     "random(size)": "c46c6c8a9c79283d",
     "integers(0, 4, size)": "e327356dd31fc40d",
     "integers(0, m)": "0b104f8b0b949b71",
+    "integers(0, bounds)": "2d1ed8ee6ce51f99",
     "choice(n, size=k, replace=False)": "518f1949abffa3c6",
     "multinomial(n, probs)": "f8374329d6afcb32",
     "multinomial(n, probs, size)": "ae371ce4f88a9daa",
@@ -95,6 +99,24 @@ def test_a_child_built_directly_is_the_spawned_one(key, pool_size):
     for i, child in enumerate(children):
         direct = np.random.SeedSequence(SEED, spawn_key=key + (i,), pool_size=pool_size)
         assert np.array_equal(direct.generate_state(8), child.generate_state(8)), i
+
+
+@pytest.mark.parametrize("half_word", [False, True], ids=["whole", "after-odd-32-bit-draw"])
+def test_an_array_of_bounds_is_one_scalar_call_per_bound_above_one(half_word):
+    # adversary.eve_guess_key picks every group's guess in one call; a bound of 1 draws
+    # nothing, so the stream is that of one integers(0, m) call per real choice
+    for seed in range(16):
+        array, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:
+            for rng in (array, scalar):
+                rng.integers(0, 2**32, dtype=np.uint32)
+            assert array.bit_generator.state["has_uint32"] == 1  # PCG64 holds half a word
+        got = array.integers(0, _BOUNDS).tolist()
+        want = [int(scalar.integers(0, m)) if m > 1 else 0 for m in _BOUNDS]
+        assert got == want and array.bit_generator.state == scalar.bit_generator.state, seed
+        before = array.bit_generator.state
+        assert array.integers(0, [1] * 8).tolist() == [0] * 8
+        assert array.bit_generator.state == before, seed
 
 
 # n * min(p, 1 - p) below 30 takes numpy's inversion sampler, above it BTPE
